@@ -45,8 +45,6 @@ from .solve_abelian import (
     solve_divisible,
     solve_mod_p,
     solve_p_group,
-    stream_ingest,
-    stream_solution,
 )
 from .systems import (
     AbelianEquation,

@@ -17,6 +17,7 @@ from .errors import (
     CentralityAssertionFailed,
     GroupEqError,
     ParseError,
+    VerificationFailed,
 )
 from .intmath import INFINITE
 from .nilpotent import (
@@ -34,18 +35,6 @@ from .systems import (
     classify_matrix,
     parse_matrix_text,
     verify_solution,
-)
-
-SOLVER_ERRORS = (
-    "UnsupportedGroup",
-    "MissingPrimeNonsingularity",
-    "Singular",
-    "PSingular",
-    "NotUnimodular",
-    "NotPiNonsingular",
-    "NotDivisible",
-    "DependentRow",
-    "SearchSpaceTooLarge",
 )
 
 
@@ -115,7 +104,8 @@ def cmd_solve(args) -> int:
     group_obj = _load_json_file(args.group)
     system_obj = _load_json_file(args.system)
     system, solution = _solve_dispatch(group_obj, system_obj)
-    assert verify_solution(system, solution.assignment), "refusing to print unverified output"
+    if not verify_solution(system, solution.assignment):
+        raise VerificationFailed("refusing to print unverified output")
     print(_dump({"solution": solution.to_json()}))
     return 0
 
@@ -206,8 +196,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2
-    except CentralityAssertionFailed as exc:
-        print(f"CentralityAssertionFailed: {exc}", file=sys.stderr)
+    except (CentralityAssertionFailed, VerificationFailed) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except AssertionError as exc:
         print(f"InternalAssertion: {exc}", file=sys.stderr)

@@ -104,6 +104,11 @@ class DependentRow(GroupEqError):
         self.witness = witness
 
 
+class VerificationFailed(GroupEqError):
+    """Internal consistency failure: a solver's answer did not satisfy the
+    system it was computed for.  Raised instead of returning it."""
+
+
 class CentralityAssertionFailed(GroupEqError):
     """Internal consistency failure: a coefficient product expected to be
     central was not. Never tolerated silently."""

@@ -27,9 +27,10 @@ from .errors import (
     SearchSpaceTooLarge,
     Singular,
     UnsupportedGroup,
+    VerificationFailed,
 )
 from .intmath import INFINITE, check_prime
-from .solve_abelian import Solution, solve_bounded, solve_divisible
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, solve_bounded, solve_divisible
 from .systems import (
     AbelianEquation,
     AbelianSystem,
@@ -318,7 +319,7 @@ def center_of(group):
         return [
             g
             for g in range(group.order)
-            if all(group.mul(g, h) == group.mul(h, g) for h in range(group.order))
+            if all(group.multiply(g, h) == group.multiply(h, g) for h in range(group.order))
         ]
     return group.center_group
 
@@ -356,22 +357,6 @@ def _project_system(system: WordSystem) -> WordSystem:
     return WordSystem(G.quotient, projected, variables=system.variables)
 
 
-def _substitute_left_constant(eq: GroupEquation, constants, inverses) -> GroupEquation:
-    """Replace every literal x**e with (c_x * x)**e, expanded literal by literal.
-
-    For e < 0 the expansion uses (c*x)^-1 = x^-1 * c^-1.
-    """
-    word = []
-    for lit in eq.word:
-        if isinstance(lit, Const):
-            word.append(lit)
-        elif lit.exp > 0:
-            word.extend([Const(constants[lit.var]), VarPow(lit.var, 1)] * lit.exp)
-        else:
-            word.extend([VarPow(lit.var, -1), Const(inverses[lit.var])] * (-lit.exp))
-    return GroupEquation(word)
-
-
 def _solve_recursive(system: WordSystem, central_solve) -> dict:
     G = system.group
     if G.nilpotency_class >= 2:
@@ -379,13 +364,11 @@ def _solve_recursive(system: WordSystem, central_solve) -> dict:
         constants = {v: G.section(quotient_solution[v]) for v in system.variables}
     else:
         constants = {v: G.identity() for v in system.variables}
-    inverses = {v: G.invert(c) for v, c in constants.items()}
-    identity_assignment = {v: G.identity() for v in system.variables}
 
     central_eqs = []
     for eq in system.equations:
-        substituted = _substitute_left_constant(eq, constants, inverses)
-        b = evaluate_word(G, substituted, identity_assignment)
+        # the word with x -> c_x * x, evaluated at x = 1: (c_x * 1)**e = c_x**e
+        b = evaluate_word(G, eq, constants)
         beta = G.center_recognize(b)
         if beta is None:
             raise CentralityAssertionFailed(
@@ -402,8 +385,8 @@ def _solve_recursive(system: WordSystem, central_solve) -> dict:
 def _verified(system: WordSystem, assignment: dict) -> Solution:
     G = system.group
     for eq in system.equations:
-        value = evaluate_word(G, eq, assignment)
-        assert G.equal(value, G.identity()), "nilpotent solver produced a non-solution"
+        if not G.equal(evaluate_word(G, eq, assignment), G.identity()):
+            raise VerificationFailed("nilpotent solver produced a non-solution")
     return Solution(assignment)
 
 
@@ -495,10 +478,6 @@ class TableGroup:
     def multiply(self, g: int, h: int) -> int:
         return self.table[g][h]
 
-    # FiniteGroup-style aliases
-    def mul(self, g: int, h: int) -> int:
-        return self.table[g][h]
-
     def invert(self, g: int) -> int:
         return self._inverse[g]
 
@@ -528,9 +507,6 @@ class TableGroup:
 
     def to_json(self) -> dict:
         return {"kind": "table", "table": [row[:] for row in self.table]}
-
-
-BRUTE_FORCE_LIMIT = 10**7
 
 
 def brute_force_group_solve(system: WordSystem) -> Solution | None:
@@ -574,8 +550,8 @@ def brute_force_group_solve(system: WordSystem) -> Solution | None:
     found = search(0)
     if found is None:
         return None
-    for eq in system.equations:
-        assert evaluate_word(G, eq, found) == G.identity()
+    if any(evaluate_word(G, eq, found) != G.identity() for eq in system.equations):
+        raise VerificationFailed("table group search returned a non-solution")
     return Solution(found)
 
 

@@ -1,22 +1,20 @@
 """Constructive solvers for abelian systems.
 
-Four routes, combined by ``solve_auto``:
+One engine, ``_ComponentState``, does every elimination over a bounded
+group: per primary component it keeps a fully reduced echelon basis with
+unit pivots modulo p**e.  A row that reduces to no unit coefficient is
+dependent modulo p and is refused with its witness combination.
 
-* ``solve_mod_p``     — Gaussian elimination over the field of p elements
-                        when the group has prime period p.
-* ``solve_p_group``   — round-by-round lifting over a bounded p-group:
-                        solve the induced system over A/pA, subtract the
-                        lift, recurse on pA (one period exponent lower).
-* ``solve_bounded``   — primary decomposition: solve on every p-component
-                        and recombine coordinates.
+* ``solve_mod_p``     — one ingest pass over a group of prime period p.
+* ``solve_bounded``   — ingest every equation into the per-prime unit-pivot
+                        echelon and recombine the primary coordinates.
 * ``solve_divisible`` — square reduction plus Smith normal form, then exact
                         division in Prüfer/rational coordinates.
+* ``solve_p_group``   — the paper's literal lifting through A ⊃ pA ⊃ p²A ⊃ ...,
+                        kept as a cross-check of the engine; no route calls it.
 
-``EchelonState`` is the incremental variant for equation streams over a
-bounded-period group: it keeps, per primary component, a fully reduced
-echelon basis with unit pivots modulo p**e, so each new equation is folded
-in without reprocessing the truncation.  ``solve_p_group`` retains the
-literal round-by-round lifting so the two can be cross-checked.
+``solve_auto`` combines the bounded and divisible routes.  ``EchelonState``
+feeds an equation stream to the same engine, one equation at a time.
 
 Every solver verifies its answer against the input system before returning.
 Free variables are always assigned 0 and pivots take the lowest-ordered
@@ -45,13 +43,13 @@ from .errors import (
     SearchSpaceTooLarge,
     Singular,
     UnsupportedGroup,
+    VerificationFailed,
 )
 from .intmath import inv_mod
 from .systems import (
     AbelianEquation,
     AbelianSystem,
     is_nonsingular,
-    is_p_nonsingular,
     reduce_to_square,
     smith_normal_form,
     verify_solution,
@@ -83,8 +81,102 @@ class Solution:
 
 
 def _checked(system: AbelianSystem, assignment: dict[str, GroupElement]) -> Solution:
-    assert verify_solution(system, assignment), "solver produced a non-solution"
+    if not verify_solution(system, assignment):
+        raise VerificationFailed("solver produced a non-solution")
     return Solution(assignment)
+
+
+# -- unit-pivot echelon engine -----------------------------------------------------
+
+
+def _subtract_multiple(target: dict, source: dict, c: int, m: int) -> None:
+    """target -= c * source modulo m, in place, keeping only nonzero entries."""
+    for key, k in source.items():
+        nk = (target.get(key, 0) - c * k) % m
+        if nk:
+            target[key] = nk
+        else:
+            target.pop(key, None)
+
+
+class _ComponentState:
+    """Reduced echelon rows with unit pivots over the p-primary part of a group,
+    computed modulo the largest p**e among its summands."""
+
+    __slots__ = ("p", "modulus", "sub", "indices", "rows", "pivot_row")
+
+    def __init__(self, group: AbelianGroupDescriptor, p: int):
+        self.p = p
+        self.sub, self.indices = primary_part(group, p)
+        self.modulus = max(s.modulus for s in self.sub.summands)
+        # rows: (pivot var, coeff dict, rhs element of sub, combination of input rows)
+        self.rows: list[tuple[str, dict[str, int], GroupElement, dict[int, int]]] = []
+        self.pivot_row: dict[str, int] = {}
+
+    def reduce(self, index: int, eq: AbelianEquation):
+        """Reduce equation ``index`` against the rows without changing them and
+        scale its pivot to 1; DependentRow if no coefficient is a unit."""
+        m = self.modulus
+        row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
+        rhs = self.sub.element(eq.rhs.coords[i] for i in self.indices)
+        comb = {index: 1}
+        for pv, prow, prhs, pcomb in self.rows:
+            c = row.get(pv, 0)
+            if c:
+                _subtract_multiple(row, prow, c, m)
+                _subtract_multiple(comb, pcomb, c, m)
+                rhs = rhs - prhs.scale(c)
+        units = [v for v, k in row.items() if k % self.p != 0]
+        if not units:
+            witness = {j: k % self.p for j, k in sorted(comb.items()) if k % self.p != 0}
+            raise DependentRow(self.p, witness=witness)
+        pv = min(units)
+        inv = inv_mod(row[pv], m)
+        row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
+        comb = {j: (inv * k) % m for j, k in comb.items()}
+        return pv, row, rhs.scale(inv), comb
+
+    def commit(self, staged) -> None:
+        """Clear the staged row's pivot from every row, then append it."""
+        pv, row, rhs, comb = staged
+        m = self.modulus
+        for i, (opv, orow, orhs, ocomb) in enumerate(self.rows):
+            c = orow.get(pv, 0)
+            if c:
+                _subtract_multiple(orow, row, c, m)
+                _subtract_multiple(ocomb, comb, c, m)
+                self.rows[i] = (opv, orow, orhs - rhs.scale(c), ocomb)
+        self.pivot_row[pv] = len(self.rows)
+        self.rows.append(staged)
+
+    def ingest(self, index: int, eq: AbelianEquation) -> None:
+        self.commit(self.reduce(index, eq))
+
+    def value_of(self, var: str) -> GroupElement | None:
+        i = self.pivot_row.get(var)
+        return None if i is None else self.rows[i][2]
+
+
+def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
+    """One engine component per prime dividing the period, smallest first."""
+    return [_ComponentState(group, p) for p in sorted({s.p for s in group.summands})]
+
+
+def _assemble(group: AbelianGroupDescriptor, components, variables) -> dict[str, GroupElement]:
+    """Recombine the components' pivot values; free variables are 0."""
+    assignment = {}
+    for v in variables:
+        coords = [0] * len(group.summands)
+        for comp in components:
+            val = comp.value_of(v)
+            if val is not None:
+                for i, c in zip(comp.indices, val.coords):
+                    coords[i] = c
+        assignment[v] = group.element(coords)
+    return assignment
+
+
+# -- batch solvers -----------------------------------------------------------------
 
 
 def solve_mod_p(system: AbelianSystem) -> Solution:
@@ -96,44 +188,13 @@ def solve_mod_p(system: AbelianSystem) -> Solution:
     if any(s.kind != "cyclic" or s.p != p or s.e != 1 for s in A.summands):
         raise UnsupportedGroup("solve_mod_p needs every summand equal to Z/p")
 
-    pivots: list[tuple[str, dict[str, int], GroupElement, dict[int, int]]] = []
-    for idx, eq in enumerate(system.equations):
-        row = {v: k % p for v, k in eq.coeffs.items() if k % p != 0}
-        rhs = eq.rhs
-        comb = {idx: 1}
-        for pv, prow, prhs, pcomb in pivots:
-            c = row.get(pv, 0)
-            if c == 0:
-                continue
-            for v, k in prow.items():
-                row[v] = (row.get(v, 0) - c * k) % p
-            for j, k in pcomb.items():
-                comb[j] = (comb.get(j, 0) - c * k) % p
-            rhs = rhs - prhs.scale(c)
-        row = {v: k for v, k in row.items() if k != 0}
-        if not row:
-            raise PSingular(p, witness={j: k for j, k in sorted(comb.items()) if k != 0})
-        pv = min(row)
-        inv = inv_mod(row[pv], p)
-        row = {v: (inv * k) % p for v, k in row.items()}
-        rhs = rhs.scale(inv)
-        comb = {j: (inv * k) % p for j, k in comb.items()}
-        for i, (opv, orow, orhs, ocomb) in enumerate(pivots):
-            c = orow.get(pv, 0)
-            if c == 0:
-                continue
-            for v, k in row.items():
-                orow[v] = (orow.get(v, 0) - c * k) % p
-            for j, k in comb.items():
-                ocomb[j] = (ocomb.get(j, 0) - c * k) % p
-            orow = {v: k for v, k in orow.items() if k != 0}
-            pivots[i] = (opv, orow, orhs - rhs.scale(c), ocomb)
-        pivots.append((pv, row, rhs, comb))
-
-    assignment = {v: A.zero() for v in system.variables}
-    for pv, _, rhs, _ in pivots:
-        assignment[pv] = rhs
-    return _checked(system, assignment)
+    comp = _ComponentState(A, p)
+    try:
+        for idx, eq in enumerate(system.equations):
+            comp.ingest(idx, eq)
+    except DependentRow as exc:
+        raise PSingular(p, witness=exc.witness) from exc
+    return _checked(system, _assemble(A, [comp], system.variables))
 
 
 def _p_subgroup(A: AbelianGroupDescriptor):
@@ -185,8 +246,8 @@ def solve_p_group(system: AbelianSystem) -> Solution:
         for row, b in zip(coeff_rows, rhs):
             for v, k in row.items():
                 b = b - lift[v].scale(k)
-            for c in b.coords:
-                assert int(c) % p == 0, "residual escaped pA during lifting"
+            if any(int(c) % p for c in b.coords):
+                raise VerificationFailed("residual escaped pA during lifting")
             residual.append(sub.element(int(b.coords[i]) // p for i in kept))
         work = sub
         positions = tuple(positions[i] for i in kept)
@@ -198,41 +259,25 @@ def solve_p_group(system: AbelianSystem) -> Solution:
 
 
 def solve_bounded(system: AbelianSystem) -> Solution:
-    """Solve over a bounded-period group by primary decomposition.
+    """Solve over a bounded-period group by ingesting every equation into the
+    per-prime unit-pivot echelon.
 
     Requires p-nonsingularity for every prime p dividing the period; other
-    primes cannot obstruct solvability over such a group.
+    primes cannot obstruct solvability over such a group.  Components are
+    filled smallest prime first, so a refusal names the smallest such p.
     """
     A = system.group
     if not A.is_bounded:
         raise UnsupportedGroup("solve_bounded needs a bounded-period (finite cyclic sum) group")
-    matrix = system.matrix()
-    parts: dict[int, Solution] = {}
-    positions: dict[int, tuple[int, ...]] = {}
-    for p in sorted({s.p for s in A.summands}):
-        ok, witness = is_p_nonsingular(matrix, p)
-        if not ok:
-            raise MissingPrimeNonsingularity(p, witness=witness)
-        sub, indices = primary_part(A, p)
-        component = AbelianSystem(
-            sub,
-            [
-                AbelianEquation(eq.coeffs, sub.element(eq.rhs.coords[i] for i in indices))
-                for eq in system.equations
-            ],
-            variables=system.variables,
-        )
-        parts[p] = solve_p_group(component)
-        positions[p] = indices
-
-    assignment = {}
-    for v in system.variables:
-        coords = [0] * len(A.summands)
-        for p, sol in parts.items():
-            for i, c in zip(positions[p], sol.assignment[v].coords):
-                coords[i] = c
-        assignment[v] = A.element(coords)
-    return _checked(system, assignment)
+    components = _components(A)
+    for comp in components:
+        try:
+            for idx, eq in enumerate(system.equations):
+                comp.ingest(idx, eq)
+        except DependentRow as exc:
+            witness = [exc.witness.get(j, 0) for j in range(len(system.equations))]
+            raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
+    return _checked(system, _assemble(A, components, system.variables))
 
 
 def solve_divisible(system: AbelianSystem) -> Solution:
@@ -340,68 +385,6 @@ def solve_auto(system: AbelianSystem) -> Solution:
 # -- incremental streaming solver -------------------------------------------------
 
 
-class _ComponentState:
-    """Reduced echelon rows with unit pivots over one primary component Z/p**e."""
-
-    __slots__ = ("p", "modulus", "sub", "indices", "rows")
-
-    def __init__(self, p: int, modulus: int, sub, indices):
-        self.p = p
-        self.modulus = modulus
-        self.sub = sub
-        self.indices = indices
-        # rows: (pivot var, coeff dict, rhs element of sub, combination of input rows)
-        self.rows: list[tuple[str, dict[str, int], GroupElement, dict[int, int]]] = []
-
-    def ingest(self, index: int, eq: AbelianEquation) -> None:
-        m = self.modulus
-        row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
-        rhs = self.sub.element(eq.rhs.coords[i] for i in self.indices)
-        comb = {index: 1}
-        for pv, prow, prhs, pcomb in self.rows:
-            c = row.get(pv, 0)
-            if c == 0:
-                continue
-            for v, k in prow.items():
-                nk = (row.get(v, 0) - c * k) % m
-                if nk:
-                    row[v] = nk
-                else:
-                    row.pop(v, None)
-            for j, k in pcomb.items():
-                comb[j] = (comb.get(j, 0) - c * k) % m
-            rhs = rhs - prhs.scale(c)
-        units = [v for v, k in row.items() if k % self.p != 0]
-        if not units:
-            witness = {j: k % self.p for j, k in sorted(comb.items()) if k % self.p != 0}
-            raise DependentRow(self.p, witness=witness)
-        pv = min(units)
-        inv = inv_mod(row[pv], m)
-        row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
-        rhs = rhs.scale(inv)
-        comb = {j: (inv * k) % m for j, k in comb.items()}
-        for i, (opv, orow, orhs, ocomb) in enumerate(self.rows):
-            c = orow.get(pv, 0)
-            if c == 0:
-                continue
-            for v, k in row.items():
-                nk = (orow.get(v, 0) - c * k) % m
-                if nk:
-                    orow[v] = nk
-                else:
-                    orow.pop(v, None)
-            for j, k in comb.items():
-                ocomb[j] = (ocomb.get(j, 0) - c * k) % m
-            self.rows[i] = (opv, orow, orhs - rhs.scale(c), ocomb)
-        self.rows.append((pv, row, rhs, comb))
-
-    def value_of(self, var: str) -> GroupElement | None:
-        for pv, _, rhs, _ in self.rows:
-            if pv == var:
-                return rhs
-        return None
-
-
 class EchelonState:
     """Incremental solver state for an equation stream over a bounded group.
 
@@ -417,40 +400,21 @@ class EchelonState:
         self.group = group
         self.count = 0
         self.variables: set[str] = set()
-        self.components = []
-        for p in sorted({s.p for s in group.summands}):
-            sub, indices = primary_part(group, p)
-            modulus = max(s.modulus for s in sub.summands)
-            self.components.append(_ComponentState(p, modulus, sub, indices))
+        self.components = _components(group)
 
     def ingest(self, eq: AbelianEquation) -> EchelonState:
+        """Fold one equation in; on DependentRow the state is left unchanged."""
         if eq.rhs.descriptor != self.group:
             raise UnsupportedGroup("equation over a different group")
-        for comp in self.components:
-            comp.ingest(self.count, eq)
+        staged = [comp.reduce(self.count, eq) for comp in self.components]
+        for comp, row in zip(self.components, staged):
+            comp.commit(row)
         self.count += 1
         self.variables |= eq.variables()
         return self
 
     def solution(self) -> Solution:
-        assignment = {}
-        for v in sorted(self.variables):
-            coords = [0] * len(self.group.summands)
-            for comp in self.components:
-                val = comp.value_of(v)
-                if val is not None:
-                    for i, c in zip(comp.indices, val.coords):
-                        coords[i] = c
-            assignment[v] = self.group.element(coords)
-        return Solution(assignment)
-
-
-def stream_ingest(state: EchelonState, eq: AbelianEquation) -> EchelonState:
-    return state.ingest(eq)
-
-
-def stream_solution(state: EchelonState) -> Solution:
-    return state.solution()
+        return Solution(_assemble(self.group, self.components, sorted(self.variables)))
 
 
 # -- brute force oracle -------------------------------------------------------------

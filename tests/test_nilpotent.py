@@ -134,13 +134,13 @@ def test_evaluate_word_matches_table_fold():
         acc = table.identity()
         for lit in word:
             if isinstance(lit, Const):
-                acc = table.mul(acc, lit.value)
+                acc = table.multiply(acc, lit.value)
             else:
                 g = assignment[lit.var]
                 e = lit.exp
                 step = g if e > 0 else table.invert(g)
                 for _ in range(abs(e)):
-                    acc = table.mul(acc, step)
+                    acc = table.multiply(acc, step)
         assert evaluate_word(table, eq, assignment) == acc
 
 

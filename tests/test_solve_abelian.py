@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from groupeq.abelian import AbelianGroupDescriptor, Summand, order
+from groupeq.abelian import AbelianGroupDescriptor, Summand, order, primary_part
 from groupeq.errors import (
+    DependentRow,
     MissingPrimeNonsingularity,
     PSingular,
     SearchSpaceTooLarge,
@@ -19,8 +20,6 @@ from groupeq.solve_abelian import (
     solve_divisible,
     solve_mod_p,
     solve_p_group,
-    stream_ingest,
-    stream_solution,
 )
 from groupeq.systems import AbelianEquation, AbelianSystem, is_p_nonsingular, verify_solution
 
@@ -148,6 +147,18 @@ def test_solve_bounded_names_offending_prime():
     assert any(w % 3 != 0 for w in witness)
     assert sum(w * [3][i] for i, w in enumerate(witness)) % 3 == 0
 
+    # dependent mod 3 already at row 1, mod 2 only at row 2: the whole
+    # system is 2-singular, so the smaller prime is the one named
+    rows = [[1, 1, 0], [4, 1, 0], [1, 2, 2]]
+    system = system_of(A, rows, [A.zero()] * 3, ["x", "y", "z"])
+    with pytest.raises(MissingPrimeNonsingularity) as exc:
+        solve_bounded(system)
+    assert exc.value.p == 2
+    witness = exc.value.witness
+    assert len(witness) == 3 and any(w % 2 != 0 for w in witness)
+    for j in range(3):
+        assert sum(w * rows[i][j] for i, w in enumerate(witness)) % 2 == 0
+
 
 def test_solve_bounded_rejects_divisible_summands():
     A = descr(Summand.prufer(2))
@@ -244,7 +255,7 @@ def test_solve_auto_random_mixed():
 def test_stream_empty_state():
     A = descr(Z(2, 2))
     state = EchelonState(A)
-    assert stream_solution(state).assignment == {}
+    assert state.solution().assignment == {}
 
 
 def test_stream_two_equations_over_z8():
@@ -254,9 +265,9 @@ def test_stream_two_equations_over_z8():
     a, b = A.random_element(rng), A.random_element(rng)
     eq1 = AbelianEquation({"x": 1, "y": -2}, a)
     eq2 = AbelianEquation({"y": 1, "z": -2}, b)
-    stream_ingest(state, eq1)
+    state.ingest(eq1)
     assert verify_solution(AbelianSystem(A, [eq1]), state.solution().assignment)
-    stream_ingest(state, eq2)
+    state.ingest(eq2)
     assert verify_solution(AbelianSystem(A, [eq1, eq2]), state.solution().assignment)
 
 
@@ -280,8 +291,6 @@ def test_stream_long_run_and_stability():
 
 
 def test_stream_dependent_row_witness():
-    from groupeq.errors import DependentRow
-
     A = descr(Z(2, 2))
     state = EchelonState(A)
     rows = [{"x": 1, "y": 2}, {"x": 3, "y": 6}]  # second row = 3 * first mod 4
@@ -295,27 +304,69 @@ def test_stream_dependent_row_witness():
         assert sum(c * dense[i][j] for i, c in witness.items()) % 2 == 0
 
 
+def test_stream_ingest_is_atomic():
+    # the row is accepted mod 2 but dependent mod 3: no component may keep it
+    A = descr(Z(2, 1), Z(3, 1))
+    state = EchelonState(A)
+    eq1 = AbelianEquation({"x": 1}, A.element([1, 2]))
+    state.ingest(eq1)
+    with pytest.raises(DependentRow) as exc:
+        state.ingest(AbelianEquation({"x": 4, "y": 3}, A.element([0, 1])))
+    assert exc.value.p == 3
+    assert [len(comp.rows) for comp in state.components] == [1, 1]
+    assert state.count == 1
+    eq2 = AbelianEquation({"y": 1}, A.element([1, 1]))
+    state.ingest(eq2)
+    assert verify_solution(AbelianSystem(A, [eq1, eq2]), state.solution().assignment)
+
+
 def test_stream_rejects_unbounded_group():
     with pytest.raises(UnsupportedGroup):
         EchelonState(descr(Summand.prufer(2)))
 
 
 def test_stream_agrees_with_round_lifting():
-    # same truncations solved by the incremental state and by the
-    # round-by-round lifting; both must satisfy every prefix
-    from groupeq.randgen import random_unimodular_stream
+    # the echelon engine (incremental and batch) against the paper's literal
+    # round-by-round lifting, run on each primary component: free variables
+    # are 0 on both sides, so the assignments must be equal, not just valid
+    from groupeq.randgen import random_abelian_instance, random_unimodular_stream
 
-    A = descr(Z(2, 3), Z(3, 2))
+    def by_lifting(system):
+        A = system.group
+        coords = {v: [0] * len(A.summands) for v in system.variables}
+        for p in sorted({s.p for s in A.summands}):
+            sub, indices = primary_part(A, p)
+            component = AbelianSystem(
+                sub,
+                [
+                    AbelianEquation(eq.coeffs, sub.element(eq.rhs.coords[i] for i in indices))
+                    for eq in system.equations
+                ],
+                variables=system.variables,
+            )
+            for v, x in solve_p_group(component).assignment.items():
+                for i, c in zip(indices, x.coords):
+                    coords[v][i] = c
+        lifted = {v: A.element(c) for v, c in coords.items()}
+        assert verify_solution(system, lifted)
+        return lifted
+
+    A = descr(Z(2, 3), Z(2, 1), Z(3, 2))
     stream = random_unimodular_stream(A, seed="cross")
     state = EchelonState(A)
-    for i in range(20):
-        state.ingest(stream.gen(i))
-    truncation = stream.truncation(20)
-    incremental = state.solution()
-    lifted = solve_bounded(truncation)
-    assert verify_solution(truncation, incremental.assignment)
-    assert verify_solution(truncation, lifted.assignment)
-    assert set(incremental.assignment) == set(lifted.assignment)
+    for depth in (5, 12, 20):
+        while state.count < depth:
+            state.ingest(stream.gen(state.count))
+        truncation = stream.truncation(depth)
+        lifted = by_lifting(truncation)
+        assert state.solution().assignment == lifted
+        assert solve_bounded(truncation).assignment == lifted
+
+    # wide systems, where free variables exist
+    for i in range(40):
+        system, flavor = random_abelian_instance(f"lift:{i}")
+        if flavor != "unsolvable":
+            assert solve_bounded(system).assignment == by_lifting(system)
 
 
 # -- brute force -------------------------------------------------------------------------------------
