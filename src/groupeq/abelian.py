@@ -9,6 +9,7 @@ p-power denominator, rationals in lowest terms) make equality decidable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -18,6 +19,7 @@ from .errors import (
     NotAPGroup,
     NotDivisible,
     NotPeriodic,
+    ParseError,
 )
 from .intmath import INFINITE, check_prime, inv_mod, val_p
 
@@ -25,6 +27,8 @@ CYCLIC = "cyclic"
 PRUFER = "prufer"
 RATIONAL = "q"
 INTEGER = "z"
+# the parameters of each summand kind, which are its JSON keys besides "kind"
+_SUMMAND_FIELDS = {CYCLIC: ("p", "e"), PRUFER: ("p",), RATIONAL: (), INTEGER: ()}
 
 
 @dataclass(frozen=True)
@@ -202,14 +206,12 @@ class AbelianGroupDescriptor:
         summands = []
         for item in obj["summands"]:
             kind = item["kind"]
-            if kind == "cyclic":
-                summands.append(Summand.cyclic(int(item["p"]), int(item["e"])))
-            elif kind == "prufer":
-                summands.append(Summand.prufer(int(item["p"])))
-            elif kind in (RATIONAL, INTEGER):
-                summands.append(Summand(kind))
-            else:
+            if kind not in _SUMMAND_FIELDS:
                 raise ValueError(f"unknown summand kind {kind!r}")
+            fields = _SUMMAND_FIELDS[kind]
+            if set(item) != {"kind", *fields}:
+                raise ParseError(f"a {kind} summand has exactly the fields {fields}, got {item!r}")
+            summands.append(Summand(kind, *(int_from_json(item[f]) for f in fields)))
         return cls(summands)
 
 
@@ -414,12 +416,33 @@ def element_to_json(a: GroupElement) -> list[str]:
     return out
 
 
+_INTEGER_TEXT = re.compile(r"[-+]?[0-9]+")
+_RATIO_TEXT = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
+
+
+def int_from_json(value) -> int:
+    """An exact integer from JSON: an int (not a bool) or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+        return int(value)
+    raise ParseError(f"expected an integer, got {value!r}")
+
+
+def ratio_from_json(value):
+    """An exact rational from JSON: an integer as for int_from_json, or "a/b"."""
+    match = _RATIO_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        return int_from_json(value)
+    if int(match[2]) == 0:
+        raise ParseError(f"zero denominator in {value!r}")
+    return Fraction(int(match[1]), int(match[2]))
+
+
 def element_from_json(A: AbelianGroupDescriptor, coords: list) -> GroupElement:
-    parsed = []
-    for s, c in zip(A.summands, coords):
-        if isinstance(c, str) and "/" in c:
-            num, den = c.split("/", 1)
-            parsed.append(Fraction(int(num), int(den)))
-        else:
-            parsed.append(Fraction(c) if s.kind in (PRUFER, RATIONAL) else int(c))
-    return A.element(parsed)
+    if not isinstance(coords, list) or len(coords) != len(A.summands):
+        raise ParseError(f"expected a list of {len(A.summands)} coordinates, got {coords!r}")
+    return A.element(
+        ratio_from_json(c) if s.is_divisible else int_from_json(c)
+        for s, c in zip(A.summands, coords)
+    )

@@ -20,17 +20,38 @@ INFINITE = math.inf
 FACTOR_LIMIT = 2**64
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every
+# n < MR_LIMIT (Sorenson & Webster 2015, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are always small."""
+    """Deterministic Miller-Rabin primality test for n < MR_LIMIT."""
+    if n >= MR_LIMIT:
+        raise OutOfRange(f"primality is decided only below {MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < MR_BASES[-1] ** 2:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -19,11 +19,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import AbelianGroupDescriptor, GroupElement, Summand
+from .abelian import (
+    AbelianGroupDescriptor,
+    GroupElement,
+    Summand,
+    int_from_json,
+    ratio_from_json,
+)
 from .errors import (
     CentralityAssertionFailed,
     MissingVariable,
     NotUnimodular,
+    ParseError,
     SearchSpaceTooLarge,
     Singular,
     UnsupportedGroup,
@@ -203,14 +210,10 @@ class HeisenbergGroup:
         return [f"{x.numerator}/{x.denominator}" for x in g]
 
     def element_from_json(self, coords) -> tuple:
-        vals = []
-        for c in coords:
-            if isinstance(c, str) and "/" in c:
-                num, den = c.split("/", 1)
-                vals.append(Fraction(int(num), int(den)))
-            else:
-                vals.append(Fraction(c) if isinstance(self.ring, RationalRing) else int(c))
-        return self.element(*vals)
+        if not isinstance(coords, list) or len(coords) != 3:
+            raise ParseError(f"expected a list of 3 coordinates, got {coords!r}")
+        parse = ratio_from_json if isinstance(self.ring, RationalRing) else int_from_json
+        return self.element(*map(parse, coords))
 
     def to_json(self) -> dict:
         return {"kind": "heisenberg", "ring": self.ring.to_json()}
@@ -563,7 +566,7 @@ def group_from_json(obj: dict):
     if kind == "heisenberg":
         ring = obj["ring"]
         if ring["kind"] == "mod":
-            return heisenberg_mod(int(ring["p"]), int(ring.get("e", 1)))
+            return heisenberg_mod(int_from_json(ring["p"]), int_from_json(ring.get("e", 1)))
         if ring["kind"] == "q":
             return heisenberg_q()
         raise ValueError(f"unknown ring kind {ring['kind']!r}")
@@ -582,11 +585,11 @@ def word_system_from_json(obj: dict, group) -> WordSystem:
             if "const" in lit:
                 value = lit["const"]
                 if isinstance(group, TableGroup):
-                    word.append(Const(int(value)))
+                    word.append(Const(int_from_json(value)))
                 else:
                     word.append(Const(group.element_from_json(value)))
             else:
-                word.append(VarPow(lit["var"], int(lit["exp"])))
+                word.append(VarPow(lit["var"], int_from_json(lit["exp"])))
         equations.append(GroupEquation(word))
     return WordSystem(group, equations, variables=obj.get("vars"))
 

@@ -1,9 +1,12 @@
 """Equations, systems, streams, exponent matrices and their singularity
 classification: nonsingular / p-nonsingular / unimodular, decided exactly.
 
-Rank over Q uses integer-preserving (fraction-free) elimination; rank mod p
-uses elimination over the field of p elements; unimodularity is decided via
-Smith normal form so all primes are covered at once without factoring.
+Rank over Q uses integer-preserving (fraction-free) elimination, which also
+yields a nonzero maximal minor; rank mod p uses elimination over the field
+of p elements.  Elementary divisors, and with them unimodularity, come from
+a Smith form over the integers modulo that minor, which covers all primes at
+once without factoring and without building transforms; smith_normal_form
+(with its transforms) remains for the divisible solver.
 Failed classifications return a witness: a nonzero integer combination of
 rows that vanishes (mod p where applicable).
 """
@@ -14,7 +17,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .abelian import AbelianGroupDescriptor, GroupElement, element_from_json, element_to_json
+from .abelian import (
+    AbelianGroupDescriptor,
+    GroupElement,
+    element_from_json,
+    element_to_json,
+    int_from_json,
+)
 from .errors import DescriptorMismatch, MissingVariable, NotPiNonsingular, ParseError
 from .intmath import check_prime
 
@@ -173,19 +182,22 @@ def _dense(M) -> list[list[int]]:
     return [list(map(int, row)) for row in M]
 
 
-def is_nonsingular(M):
-    """True iff the rows are linearly independent over Q.
+def _rank_over_q(rows):
+    """Content-scaled elimination over Q.
 
-    Returns (ok, witness): on failure the witness is a nonzero integer
-    combination of the rows equal to the zero row.
+    Returns (rank, minor, witness): minor is |det M[I, J]| > 0 for the pivot
+    rows I and pivot columns J (1 when the rank is 0), and witness is a
+    nonzero integer combination of the rows equal to the zero row, or None
+    when the rows are independent.
     """
-    rows = _dense(M)
     k = len(rows)
     if k == 0:
-        return True, None
+        return 0, 1, None
     n = len(rows[0]) if rows else 0
     work = [row[:] for row in rows]
     trace = [[int(i == j) for j in range(k)] for i in range(k)]
+    label = list(range(k))  # the original row at each position
+    pivots = 1
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
@@ -193,7 +205,9 @@ def is_nonsingular(M):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         trace[r], trace[pivot] = trace[pivot], trace[r]
+        label[r], label[pivot] = label[pivot], label[r]
         p = work[r][c]
+        pivots *= p
         for i in range(r + 1, k):
             a = work[i][c]
             if a == 0:
@@ -210,14 +224,34 @@ def is_nonsingular(M):
                 trace[i] = [x // content for x in trace[i]]
         r += 1
         if r == k:
-            return True, None
+            break
+    # trace row t combines original rows label[0..t] only, so restricted to
+    # the pivot rows it is lower triangular and det(work[:r, J]) = prod of
+    # pivots = det(that triangle) * det M[I, J]
+    scale = 1
+    for t in range(r):
+        scale *= trace[t][label[t]]
+    minor = abs(pivots) // abs(scale)
+    if r == k:
+        return r, minor, None
     witness = trace[r]
     g = math.gcd(*witness)
     witness = [w // g for w in witness]
     lead = next(w for w in witness if w != 0)
     if lead < 0:
         witness = [-w for w in witness]
-    return False, witness
+    return r, minor, witness
+
+
+def is_nonsingular(M):
+    """True iff the rows are linearly independent over Q.
+
+    Returns (ok, witness): on failure the witness is a nonzero integer
+    combination of the rows equal to the zero row.
+    """
+    rows = _dense(M)
+    rank, _, witness = _rank_over_q(rows)
+    return rank == len(rows), witness
 
 
 def is_p_nonsingular(M, p: int):
@@ -338,20 +372,101 @@ def smith_normal_form(M):
     return U, A, V
 
 
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _divisors_mod(rows, rank: int, minor: int) -> list[int]:
+    """The nonzero elementary divisors s_1 | ... | s_rank of an integer matrix
+    of the given rank, where minor is a nonzero rank x rank minor.
+
+    Every s_i divides d_rank = s_1 * ... * s_rank, which divides minor, so the
+    Smith form over Z/minor has invariants (s_1), ..., (s_rank), (0), ...; the
+    rank tells an s_rank equal to minor apart from a zero invariant.  Entries
+    stay below minor, and no transform is built.
+    """
+    m = minor
+    if m == 1:
+        return [1] * rank
+    A = [[x % m for x in row] for row in rows]
+    width = len(A[0]) if A else 0
+    diagonal = []
+    while A and width:
+        # pivot: a unit mod m from the first row holding one, else the entry
+        # sharing least with m
+        best = None
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x and (best is None or math.gcd(x, m) < best[0]):
+                    best = (math.gcd(x, m), i, j)
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, i, c = best
+        while True:
+            # rows: every other entry of column c becomes 0; an entry outside
+            # the pivot's ideal mod m makes that ideal strictly smaller
+            g = math.gcd(A[i][c], m)
+            inv = pow(A[i][c] // g, -1, m // g)
+            for h in range(len(A)):
+                b = A[h][c]
+                if h == i or b == 0:
+                    continue
+                if b % g == 0:
+                    q = (b // g) * inv
+                    A[h] = [(x - q * y) % m for x, y in zip(A[h], A[i])]
+                else:
+                    d, s, t = _xgcd(A[i][c], b)
+                    u, v = b // d, A[i][c] // d
+                    A[i], A[h] = (
+                        [(s * x + t * y) % m for x, y in zip(A[i], A[h])],
+                        [(u * x - v * y) % m for x, y in zip(A[i], A[h])],
+                    )
+                    g = math.gcd(A[i][c], m)
+                    inv = pow(A[i][c] // g, -1, m // g)
+            # columns: with column c clean, subtracting it changes row i only,
+            # which is dropped; an entry outside the pivot's ideal takes an
+            # extended-gcd column step, which dirties column c again
+            j = next((j for j, b in enumerate(A[i]) if b % g), None)
+            if j is None:
+                break
+            d, s, t = _xgcd(A[i][c], A[i][j])
+            u, v = A[i][j] // d, A[i][c] // d
+            for row in A:
+                row[c], row[j] = (s * row[c] + t * row[j]) % m, (u * row[c] - v * row[j]) % m
+        diagonal.append(math.gcd(A[i][c], m))
+        del A[i]
+        for row in A:
+            del row[c]
+        width -= 1
+    diagonal += [m] * min(len(A), width)  # zero invariants
+    # the Smith form of a diagonal matrix over Z/m: gcd/lcm into a chain
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = math.gcd(a, b), math.lcm(a, b)
+    return diagonal[:rank]
+
+
 def elementary_divisors(M) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, D, _ = smith_normal_form(M)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
+    rows = _dense(M)
+    rank, minor, _ = _rank_over_q(rows)
+    return _divisors_mod(rows, rank, minor)
 
 
 def is_unimodular(M) -> bool:
     """True iff every elementary divisor is 1, i.e. p-nonsingular for every prime."""
     rows = _dense(M)
-    k = len(rows)
-    if k == 0:
-        return True
-    divisors = elementary_divisors(rows)
-    return len(divisors) == k and all(d == 1 for d in divisors)
+    rank, minor, _ = _rank_over_q(rows)
+    return rank == len(rows) and all(d == 1 for d in _divisors_mod(rows, rank, minor))
 
 
 @dataclass
@@ -385,9 +500,9 @@ class SingularityReport:
 
 def classify_matrix(M, primes=()) -> SingularityReport:
     rows = _dense(M)
-    ok, witness = is_nonsingular(rows)
-    report = SingularityReport(nonsingular=ok, witness=witness)
-    report.divisors = elementary_divisors(rows)
+    rank, minor, witness = _rank_over_q(rows)
+    report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
+    report.divisors = _divisors_mod(rows, rank, minor)
     report.unimodular = len(report.divisors) == len(rows) and all(
         d == 1 for d in report.divisors
     )
@@ -561,7 +676,7 @@ def abelian_system_from_json(obj: dict) -> AbelianSystem:
     group = AbelianGroupDescriptor.from_json(obj["group"])
     equations = [
         AbelianEquation(
-            {v: int(k) for v, k in eq["coeffs"].items()},
+            {v: int_from_json(k) for v, k in eq["coeffs"].items()},
             element_from_json(group, eq["rhs"]),
         )
         for eq in obj["equations"]

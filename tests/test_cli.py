@@ -85,6 +85,43 @@ def test_unverified_answer_is_refused_with_exit_4(files, capsys, monkeypatch):
     assert "VerificationFailed: solver produced a non-solution" in err
 
 
+def test_wrong_smith_form_is_refused_with_exit_4(files, capsys, monkeypatch):
+    # solve_divisible trusts U*M*V = D; the final check must still catch a wrong D
+    from groupeq import solve_abelian
+    from groupeq.abelian import AbelianGroupDescriptor, Summand
+    from groupeq.errors import VerificationFailed
+    from groupeq.systems import AbelianEquation, AbelianSystem
+
+    exact = solve_abelian.smith_normal_form
+
+    def doubled(M):
+        U, D, V = exact(M)
+        D = [row[:] for row in D]
+        D[0][0] *= 2
+        return U, D, V
+
+    monkeypatch.setattr(solve_abelian, "smith_normal_form", doubled)
+    Q = AbelianGroupDescriptor([Summand.rational()])
+    system = AbelianSystem(
+        Q,
+        [
+            AbelianEquation({"x": 1, "y": 2}, Q.element([1])),
+            AbelianEquation({"y": 1}, Q.element([3])),
+        ],
+    )
+    with pytest.raises(VerificationFailed):
+        solve_abelian.solve_divisible(system)
+    group = files("g.json", '{"summands":[{"kind":"q"}]}')
+    path = files(
+        "s.json",
+        '{"vars":["x","y"],"equations":[{"coeffs":{"x":1,"y":2},"rhs":["1"]},'
+        '{"coeffs":{"y":1},"rhs":["3"]}]}',
+    )
+    code, out, err = run(capsys, "solve", "--group", group, "--system", path)
+    assert (code, out) == (4, "")
+    assert "VerificationFailed: solver produced a non-solution" in err
+
+
 def test_solve_integer_line_exit_3(files, capsys):
     group = files("g.json", '{"summands":[{"kind":"z"}]}')
     system = files("s.json", '{"vars":["x"],"equations":[{"coeffs":{"x":1},"rhs":["1"]}]}')
@@ -132,6 +169,50 @@ def test_solve_missing_keys_exit_2(files, capsys):
     system = files("s.json", '{"equations":[{"word":[{"var":"x","exp":1}]}]}')
     code, _, err = run(capsys, "solve", "--group", group, "--system", system)
     assert code == 2
+
+
+ONE_SUMMAND = '{"summands":[{"kind":%s}]}'
+Z4 = ONE_SUMMAND % '"cyclic","p":2,"e":2'
+X_EQUALS = '{"vars":["x"],"equations":[{"coeffs":{"x":%s},"rhs":%s}]}'
+X_ONE = X_EQUALS % ("1", '["1"]')
+
+
+HEISENBERG_3 = '{"kind":"heisenberg","ring":{"kind":"mod","p":3}}'
+X_TIMES_C = '{"equations":[{"word":[{"var":"x","exp":%s},{"const":%s}]}]}'
+
+
+@pytest.mark.parametrize(
+    "group, system",
+    [
+        pytest.param(Z4, X_EQUALS % ("1", '["1","5","7"]'), id="extra-coordinates"),
+        pytest.param(Z4, X_EQUALS % ("1", "[]"), id="missing-coordinate"),
+        pytest.param(Z4, X_EQUALS % ("1.9", '["1"]'), id="float-coefficient"),
+        pytest.param(Z4, X_EQUALS % ("true", '["1"]'), id="bool-coefficient"),
+        pytest.param(Z4, X_EQUALS % ("1", '["1/2"]'), id="fraction-in-cyclic"),
+        pytest.param(Z4, X_EQUALS % ("1", "[1.0]"), id="float-coordinate"),
+        pytest.param(ONE_SUMMAND % '"cyclic","p":2.9,"e":1', X_ONE, id="float-prime"),
+        pytest.param(ONE_SUMMAND % '"cyclic","p":"2","e":true', X_ONE, id="bool-exponent"),
+        pytest.param(ONE_SUMMAND % '"q","p":3', X_ONE, id="stray-field"),
+        pytest.param(ONE_SUMMAND % '"q"', X_EQUALS % ("1", '["1/0"]'), id="zero-denominator"),
+        pytest.param(ONE_SUMMAND % '"q"', X_EQUALS % ("1", "[0.5]"), id="float-rational"),
+        pytest.param(HEISENBERG_3, X_TIMES_C % ("2.5", '["1","0","0"]'), id="float-word-exponent"),
+        pytest.param(HEISENBERG_3, X_TIMES_C % ("1", '["1","0"]'), id="short-heisenberg-element"),
+    ],
+)
+def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):
+    group, system = files("g.json", group), files("s.json", system)
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (2, "")
+    assert "ParseError" in err
+
+
+def test_solve_over_large_prime_summand(files, capsys):
+    p = 10**18 + 3
+    group = files("g.json", '{"summands":[{"kind":"cyclic","p":%d,"e":1}]}' % p)
+    system = files("s.json", X_EQUALS % ("3", '["1"]'))
+    code, out, _ = run(capsys, "solve", "--group", group, "--system", system)
+    assert code == 0
+    assert json.loads(out) == {"solution": {"x": [str(pow(3, -1, p))]}}
 
 
 def test_solve_abelian_handle_group(files, capsys):

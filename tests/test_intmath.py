@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from groupeq.errors import NonCoprimeModuli, NotAUnit, NotPrime, OutOfRange
-from groupeq.intmath import INFINITE, PrimePower, crt_pair, factor_small, inv_mod, is_prime, val_p
+from groupeq.intmath import (
+    INFINITE,
+    MR_LIMIT,
+    PrimePower,
+    crt_pair,
+    factor_small,
+    inv_mod,
+    is_prime,
+    val_p,
+)
 
 
 def val_p_oracle(n, p):
@@ -123,6 +133,23 @@ def test_factor_out_of_range():
         factor_small(2**64 + 1)
     with pytest.raises(OutOfRange):
         factor_small(0)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(-3, 20000) if trial(n)]
+
+
+def test_is_prime_large_inputs():
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases (the last
+    # one, psi_12, is why 13 bases are used), a Carmichael number, and primes
+    composites = [2047, 3215031751, 3825123056546413051, 318665857834031151167461, 561, 2**64 + 1]
+    assert not any(is_prime(n) for n in composites)
+    assert all(is_prime(n) for n in (2**31 - 1, 10**18 + 3, 2**61 - 1, 2**64 - 59))
+    with pytest.raises(OutOfRange):
+        is_prime(MR_LIMIT)
 
 
 def test_prime_power_validation():

@@ -17,7 +17,9 @@ from groupeq.systems import (
     VarPow,
     abelian_system_from_json,
     abelian_system_to_json,
+    _rank_over_q,
     classify_matrix,
+    elementary_divisors,
     exponent_row,
     is_nonsingular,
     is_p_nonsingular,
@@ -201,10 +203,55 @@ def test_snf_reconstruction_random():
                     assert D[i][j] == 0
 
 
+def snf_divisors(rows):
+    _, D, _ = smith_normal_form(rows)
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
+
+
+# a 7x6 matrix on which the divisor computation mod the minor needs both
+# extended-gcd row steps and an extended-gcd column step
+XGCD_7x6 = [
+    [-3, 0, 16, 24, -6, 18],
+    [8, 9, -18, 4, -2, -6],
+    [12, 6, 0, 3, 9, 8],
+    [12, 18, 8, 0, 3, 6],
+    [16, 27, 18, -6, 4, 18],
+    [18, 6, 0, 6, -2, 8],
+    [-6, 0, -18, 18, -6, -9],
+]
+
+
+DIVISOR_EXAMPLES = [
+    ([[1, -8], [0, 1]], [1, 1]),
+    ([[2]], [2]),
+    ([[1, 2, 0, 0], [1, 0, 3, 0], [1, 0, 0, 5]], [1, 1, 1]),
+    ([[2, 3]], [1]),  # the first maximal minor is 2
+    ([[1, 0], [0, 7]], [1, 7]),  # s_r carries the whole minor
+    ([[3, 0], [0, 9]], [3, 9]),
+    ([[1, 2], [3, 4], [5, 6]], [1, 2]),  # tall
+    ([[2, 4, 6], [4, 8, 14]], [2, 2]),  # wide
+    ([[2, 0, 0], [0, 6, 0], [2, 6, 0], [0, 0, 0]], [2, 6]),  # rank-deficient
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], [1]),  # corank 2
+    ([[0, 0], [0, 0]], []),
+    ([[]], []),
+    ([], []),
+    (XGCD_7x6, [1, 1, 1, 1, 1, 108]),
+]
+
+
 def test_is_unimodular_examples():
-    assert is_unimodular([[1, -8], [0, 1]])
-    assert not is_unimodular([[2]])
-    assert is_unimodular([[1, 2, 0, 0], [1, 0, 3, 0], [1, 0, 0, 5]])
+    for rows, divisors in DIVISOR_EXAMPLES:
+        assert elementary_divisors(rows) == snf_divisors(rows) == divisors
+        unimodular = len(divisors) == len(rows) and set(divisors) <= {1}
+        assert is_unimodular(rows) == unimodular_oracle(rows) == unimodular
+
+
+def low_rank_matrix(rng, kmax=6, nmax=6, bound=3):
+    k, n = rng.randint(1, kmax), rng.randint(1, nmax)
+    r = rng.randint(0, min(k, n) - 1)
+    L = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(k)]
+    R = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(r)]
+    return [[sum(L[i][t] * R[t][j] for t in range(r)) for j in range(n)] for i in range(k)]
 
 
 def test_unimodular_vs_minor_gcd_oracle():
@@ -212,11 +259,34 @@ def test_unimodular_vs_minor_gcd_oracle():
     for _ in range(250):
         rows = random_matrix(rng, kmax=5, nmax=7)
         assert is_unimodular(rows) == unimodular_oracle(rows)
+        assert elementary_divisors(rows) == snf_divisors(rows)
+    corank2 = 0
+    for _ in range(150):
+        rows = low_rank_matrix(rng)
+        divisors = elementary_divisors(rows)
+        assert divisors == snf_divisors(rows)
+        assert is_unimodular(rows) == unimodular_oracle(rows)
+        corank2 += min(len(rows), len(rows[0])) - len(divisors) >= 2
+    assert corank2 >= 20
+
+
+def test_rank_and_minor_over_q():
+    rng = random.Random("minor")
+    for _ in range(200):
+        if rng.random() < 0.7:
+            rows = random_matrix(rng, kmax=5, nmax=5, bound=6)
+        else:
+            rows = low_rank_matrix(rng)
+        rank, minor, witness = _rank_over_q(rows)
+        divisors = snf_divisors(rows)
+        assert rank == len(divisors)
+        assert (witness is None) == (rank == len(rows))
+        assert minor > 0 and minor % math.prod(divisors) == 0
+        if rank == len(rows) == len(rows[0]):
+            assert minor == abs(det_cofactor(rows))
 
 
 def test_unimodular_iff_p_nonsingular_at_divisor_primes():
-    from groupeq.systems import elementary_divisors
-
     rng = random.Random("unimod-iff")
     for _ in range(120):
         rows = random_matrix(rng)
@@ -232,7 +302,6 @@ def test_unimodular_iff_p_nonsingular_at_divisor_primes():
 def test_nonsingular_implies_some_prime_nonsingular():
     # for finite systems; the safeguard prime covers divisor-free cases
     from groupeq.intmath import factor_small
-    from groupeq.systems import elementary_divisors
 
     rng = random.Random("someprime")
     checked = 0
