@@ -61,7 +61,6 @@ from .systems import (
     is_nonsingular,
     is_p_nonsingular,
     is_unimodular,
-    reduce_to_square,
     smith_normal_form,
     verify_solution,
 )

@@ -203,9 +203,11 @@ class AbelianGroupDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> AbelianGroupDescriptor:
+        obj = expect_json(obj, dict, "a group")
         summands = []
-        for item in obj["summands"]:
-            kind = item["kind"]
+        for item in expect_json(obj["summands"], list, "summands"):
+            item = expect_json(item, dict, "a summand")
+            kind = expect_json(item["kind"], str, "a summand kind")
             if kind not in _SUMMAND_FIELDS:
                 raise ValueError(f"unknown summand kind {kind!r}")
             fields = _SUMMAND_FIELDS[kind]
@@ -418,6 +420,17 @@ def element_to_json(a: GroupElement) -> list[str]:
 
 _INTEGER_TEXT = re.compile(r"[-+]?[0-9]+")
 _RATIO_TEXT = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def expect_json(value, kind: type, what: str):
+    """value itself when it is a JSON value of the given kind (dict, list or
+    str); anything else is a ParseError, not a TypeError deeper down."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def int_from_json(value) -> int:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import counterexamples
-from .abelian import AbelianGroupDescriptor
+from .abelian import AbelianGroupDescriptor, expect_json
 from .errors import (
     CentralityAssertionFailed,
     GroupEqError,
@@ -83,9 +83,9 @@ def cmd_classify(args) -> int:
 
 
 def _solve_dispatch(group_obj: dict, system_obj: dict):
-    kind = group_obj.get("kind", None)
+    kind = expect_json(group_obj, dict, "a group").get("kind", None)
     if kind is None or "summands" in group_obj:
-        group = AbelianGroupDescriptor.from_json(group_obj)
+        system_obj = expect_json(system_obj, dict, "a system")
         system = abelian_system_from_json({"group": group_obj, **system_obj})
         return system, solve_auto(system)
     group = group_from_json(group_obj)

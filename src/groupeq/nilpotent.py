@@ -23,6 +23,7 @@ from .abelian import (
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
+    expect_json,
     int_from_json,
     ratio_from_json,
 )
@@ -34,10 +35,9 @@ from .errors import (
     SearchSpaceTooLarge,
     Singular,
     UnsupportedGroup,
-    VerificationFailed,
 )
 from .intmath import INFINITE, check_prime
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, solve_bounded, solve_divisible
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, solve_bounded, solve_divisible
 from .systems import (
     AbelianEquation,
     AbelianSystem,
@@ -49,6 +49,7 @@ from .systems import (
     exponent_row,
     is_nonsingular,
     is_unimodular,
+    variables_from_json,
 )
 
 
@@ -385,14 +386,6 @@ def _solve_recursive(system: WordSystem, central_solve) -> dict:
     }
 
 
-def _verified(system: WordSystem, assignment: dict) -> Solution:
-    G = system.group
-    for eq in system.equations:
-        if not G.equal(evaluate_word(G, eq, assignment), G.identity()):
-            raise VerificationFailed("nilpotent solver produced a non-solution")
-    return Solution(assignment)
-
-
 def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     """Solve a unimodular word system over a bounded-period nilpotent handle."""
     if system.group.period_bound is INFINITE:
@@ -400,7 +393,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     matrix = system.matrix()
     if not is_unimodular(matrix):
         raise NotUnimodular(divisors=elementary_divisors(matrix))
-    return _verified(system, _solve_recursive(system, solve_bounded))
+    return _checked(system, _solve_recursive(system, solve_bounded))
 
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
@@ -409,7 +402,7 @@ def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     ok, witness = is_nonsingular(matrix)
     if not ok:
         raise Singular(witness=witness)
-    return _verified(system, _solve_recursive(system, solve_divisible))
+    return _checked(system, _solve_recursive(system, solve_divisible))
 
 
 # -- table groups ---------------------------------------------------------------------
@@ -553,35 +546,40 @@ def brute_force_group_solve(system: WordSystem) -> Solution | None:
     found = search(0)
     if found is None:
         return None
-    if any(evaluate_word(G, eq, found) != G.identity() for eq in system.equations):
-        raise VerificationFailed("table group search returned a non-solution")
-    return Solution(found)
+    return _checked(system, found)
 
 
 # -- JSON wire format -------------------------------------------------------------------
 
 
 def group_from_json(obj: dict):
+    obj = expect_json(obj, dict, "a group")
     kind = obj.get("kind", "heisenberg")
     if kind == "heisenberg":
-        ring = obj["ring"]
+        ring = expect_json(obj["ring"], dict, "a ring")
         if ring["kind"] == "mod":
             return heisenberg_mod(int_from_json(ring["p"]), int_from_json(ring.get("e", 1)))
         if ring["kind"] == "q":
             return heisenberg_q()
         raise ValueError(f"unknown ring kind {ring['kind']!r}")
     if kind == "table":
-        return TableGroup(obj["table"])
+        rows = expect_json(obj["table"], list, "a table")
+        return TableGroup(
+            [[int_from_json(x) for x in expect_json(row, list, "a table row")] for row in rows]
+        )
     if kind == "abelian":
         return AbelianHandle(AbelianGroupDescriptor.from_json(obj["group"]))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
 def word_system_from_json(obj: dict, group) -> WordSystem:
+    obj = expect_json(obj, dict, "a system")
     equations = []
-    for eq in obj["equations"]:
+    for eq in expect_json(obj["equations"], list, "equations"):
+        eq = expect_json(eq, dict, "an equation")
         word = []
-        for lit in eq["word"]:
+        for lit in expect_json(eq["word"], list, "a word"):
+            lit = expect_json(lit, dict, "a literal")
             if "const" in lit:
                 value = lit["const"]
                 if isinstance(group, TableGroup):
@@ -589,9 +587,10 @@ def word_system_from_json(obj: dict, group) -> WordSystem:
                 else:
                     word.append(Const(group.element_from_json(value)))
             else:
-                word.append(VarPow(lit["var"], int_from_json(lit["exp"])))
+                var = expect_json(lit["var"], str, "a variable")
+                word.append(VarPow(var, int_from_json(lit["exp"])))
         equations.append(GroupEquation(word))
-    return WordSystem(group, equations, variables=obj.get("vars"))
+    return WordSystem(group, equations, variables=variables_from_json(obj))
 
 
 def word_system_to_json(system: WordSystem) -> dict:

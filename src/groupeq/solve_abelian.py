@@ -8,8 +8,9 @@ dependent modulo p and is refused with its witness combination.
 * ``solve_mod_p``     — one ingest pass over a group of prime period p.
 * ``solve_bounded``   — ingest every equation into the per-prime unit-pivot
                         echelon and recombine the primary coordinates.
-* ``solve_divisible`` — square reduction plus Smith normal form, then exact
-                        division in Prüfer/rational coordinates.
+* ``solve_divisible`` — one column Hermite reduction M*V = [L | 0], then
+                        forward substitution with exact division in
+                        Prüfer/rational coordinates.
 * ``solve_p_group``   — the paper's literal lifting through A ⊃ pA ⊃ p²A ⊃ ...,
                         kept as a cross-check of the engine; no route calls it.
 
@@ -32,6 +33,7 @@ from .abelian import (
     GroupElement,
     Summand,
     classify,
+    divide_exact,
     element_to_json,
     mod_p_quotient,
     primary_part,
@@ -49,9 +51,8 @@ from .intmath import inv_mod
 from .systems import (
     AbelianEquation,
     AbelianSystem,
+    _column_hermite,
     is_nonsingular,
-    reduce_to_square,
-    smith_normal_form,
     verify_solution,
 )
 
@@ -80,7 +81,9 @@ class Solution:
         return {v: _encode_value(a) for v, a in sorted(self.assignment.items())}
 
 
-def _checked(system: AbelianSystem, assignment: dict[str, GroupElement]) -> Solution:
+def _checked(system, assignment: dict) -> Solution:
+    """The assignment as a Solution of an AbelianSystem or WordSystem, or
+    VerificationFailed."""
     if not verify_solution(system, assignment):
         raise VerificationFailed("solver produced a non-solution")
     return Solution(assignment)
@@ -283,47 +286,36 @@ def solve_bounded(system: AbelianSystem) -> Solution:
 def solve_divisible(system: AbelianSystem) -> Solution:
     """Solve a nonsingular system over a divisible group (Prüfer and Q summands).
 
-    Squares the system if needed, diagonalizes U*M*V = D, transports the
-    right-hand sides through U, divides coordinate-wise, and maps back
-    through V and the square reduction.
+    A unimodular column change M*V = [L | 0] with L lower triangular turns
+    M*x = b into L*y = b, x = V*(y, 0).  Forward substitution divides down
+    L's diagonal: y_i is divide_exact's pinned root of
+    |L_ii| * y_i = ±(b_i - sum_{j<i} L_ij * y_j), so the answer is unique
+    over Q and, over Prüfer summands, fixed by that root choice and by V.
     """
-    from .abelian import divide_exact
-
     A = system.group
     if not A.is_divisible:
         raise UnsupportedGroup("solve_divisible needs every summand divisible")
-    ok, witness = is_nonsingular(system.matrix())
+    matrix = system.matrix()
+    rows = matrix.dense()
+    ok, witness = is_nonsingular(rows)
     if not ok:
         raise Singular(witness=witness)
-    square, back = reduce_to_square(system)
-
-    M = square.matrix()
-    U, D, V = smith_normal_form(M)
-    k = len(square.equations)
-    zero = A.zero()
-    b = []
-    for i in range(k):
-        acc = zero
-        for j in range(k):
-            if U[i][j] != 0:
-                acc = acc + square.equations[j].rhs.scale(U[i][j])
-        b.append(acc)
-    z = []
-    for i in range(k):
-        d = D[i][i]
-        assert d != 0, "zero elementary divisor in a nonsingular system"
-        z.append(divide_exact(d, b[i]))
+    L, V = _column_hermite(rows)
+    y = []
+    for i, eq in enumerate(system.equations):
+        acc = eq.rhs
+        for j in range(i):
+            if L[i][j]:
+                acc = acc - y[j].scale(L[i][j])
+        y.append(divide_exact(abs(L[i][i]), acc if L[i][i] > 0 else -acc))
     assignment = {}
-    for r, var in enumerate(M.columns):
-        acc = zero
-        for j in range(k):
-            if V[r][j] != 0:
-                acc = acc + z[j].scale(V[r][j])
+    for r, var in enumerate(matrix.columns):
+        acc = A.zero()
+        for j, yj in enumerate(y):
+            if V[r][j]:
+                acc = acc + yj.scale(V[r][j])
         assignment[var] = acc
-    full = back(assignment)
-    for v in system.variables:
-        full.setdefault(v, zero)
-    return _checked(system, full)
+    return _checked(system, assignment)
 
 
 def solve_auto(system: AbelianSystem) -> Solution:

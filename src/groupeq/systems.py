@@ -5,8 +5,10 @@ Rank over Q uses integer-preserving (fraction-free) elimination, which also
 yields a nonzero maximal minor; rank mod p uses elimination over the field
 of p elements.  Elementary divisors, and with them unimodularity, come from
 a Smith form over the integers modulo that minor, which covers all primes at
-once without factoring and without building transforms; smith_normal_form
-(with its transforms) remains for the divisible solver.
+once without factoring and without building transforms.  The divisible
+solver needs only _column_hermite, a column Hermite form M*V = [L | 0];
+smith_normal_form (with its transforms) is the reference that the divisor
+tests compare against.
 Failed classifications return a witness: a nonzero integer combination of
 rows that vanishes (mod p where applicable).
 """
@@ -22,6 +24,7 @@ from .abelian import (
     GroupElement,
     element_from_json,
     element_to_json,
+    expect_json,
     int_from_json,
 )
 from .errors import DescriptorMismatch, MissingVariable, NotPiNonsingular, ParseError
@@ -523,7 +526,7 @@ def classify_stream(stream: EquationStream, depth: int, primes=()) -> Singularit
     return report
 
 
-# -- square reduction -----------------------------------------------------------
+# -- column Hermite form ---------------------------------------------------------
 
 
 def _column_hermite(rows: list[list[int]]):
@@ -560,51 +563,6 @@ def _column_hermite(rows: list[list[int]]):
                 if j != c:
                     add_col(j, c, -(A[r][j] // A[r][c]))
     return A, V
-
-
-def reduce_to_square(system: AbelianSystem, pi=()):
-    """Eliminate surplus variables from a pi-nonsingular system by an integer
-    change of variables, leaving as many variables as equations.
-
-    Only column operations are used, so right-hand sides are untouched.  The
-    returned back-map sends an assignment of the square system to a full
-    assignment of the original one (eliminated coordinates become 0).
-    """
-    matrix = system.matrix()
-    rows = matrix.dense()
-    k = len(rows)
-    n = len(matrix.columns)
-    ok, witness = is_nonsingular(rows)
-    if not ok:
-        raise NotPiNonsingular(witness=witness)
-    for p in pi:
-        pok, pw = is_p_nonsingular(rows, p)
-        if not pok:
-            raise NotPiNonsingular(p=p, witness=pw)
-    if k == n:
-        return system, lambda assignment: dict(assignment)
-
-    reduced, V = _column_hermite(rows)
-    kept = matrix.columns[:k]
-    square_eqs = [
-        AbelianEquation({v: reduced[i][j] for j, v in enumerate(kept)}, system.equations[i].rhs)
-        for i in range(k)
-    ]
-    square = AbelianSystem(system.group, square_eqs, variables=kept)
-    zero = system.group.zero()
-    columns = matrix.columns
-
-    def back_map(assignment: dict[str, GroupElement]) -> dict[str, GroupElement]:
-        full = {}
-        for r, var in enumerate(columns):
-            acc = zero
-            for j, kv in enumerate(kept):
-                if V[r][j] != 0:
-                    acc = acc + assignment[kv].scale(V[r][j])
-            full[var] = acc
-        return full
-
-    return square, back_map
 
 
 # -- verification ----------------------------------------------------------------
@@ -672,13 +630,25 @@ def abelian_system_to_json(system: AbelianSystem) -> dict:
     }
 
 
+def variables_from_json(obj: dict):
+    """The optional "vars" list of a JSON system: variable names, or None."""
+    names = obj.get("vars")
+    if names is not None and not all(isinstance(v, str) for v in expect_json(names, list, "vars")):
+        raise ParseError(f"vars must be a list of strings, got {names!r}")
+    return names
+
+
 def abelian_system_from_json(obj: dict) -> AbelianSystem:
+    obj = expect_json(obj, dict, "a system")
     group = AbelianGroupDescriptor.from_json(obj["group"])
-    equations = [
-        AbelianEquation(
-            {v: int_from_json(k) for v, k in eq["coeffs"].items()},
-            element_from_json(group, eq["rhs"]),
+    equations = []
+    for eq in expect_json(obj["equations"], list, "equations"):
+        eq = expect_json(eq, dict, "an equation")
+        coeffs = expect_json(eq["coeffs"], dict, "coeffs")
+        equations.append(
+            AbelianEquation(
+                {v: int_from_json(k) for v, k in coeffs.items()},
+                element_from_json(group, eq["rhs"]),
+            )
         )
-        for eq in obj["equations"]
-    ]
-    return AbelianSystem(group, equations, variables=obj.get("vars"))
+    return AbelianSystem(group, equations, variables=variables_from_json(obj))

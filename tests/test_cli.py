@@ -84,23 +84,42 @@ def test_unverified_answer_is_refused_with_exit_4(files, capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert "VerificationFailed: solver produced a non-solution" in err
 
+    # word systems go through the same check: the abelian centre solves pass,
+    # the nilpotent solver's and the table search's final checks do not
+    from groupeq.nilpotent import TableGroup, WordSystem, brute_force_group_solve, heisenberg_mod
+    from groupeq.systems import GroupEquation, VarPow
+
+    def abelian_only(system, assignment):
+        return not isinstance(system, WordSystem)
+
+    monkeypatch.setattr(solve_abelian, "verify_solution", abelian_only)
+    table = TableGroup.from_handle(heisenberg_mod(2))
+    with pytest.raises(VerificationFailed):
+        brute_force_group_solve(WordSystem(table, [GroupEquation([VarPow("x", 1)])]))
+    group = files("h.json", HEISENBERG_3)
+    system = files("w.json", X_TIMES_X1)
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (4, "")
+    assert "VerificationFailed: solver produced a non-solution" in err
+
 
 def test_wrong_smith_form_is_refused_with_exit_4(files, capsys, monkeypatch):
-    # solve_divisible trusts U*M*V = D; the final check must still catch a wrong D
+    # solve_divisible trusts its column reduction M*V = [L | 0]; the final
+    # check must still catch a wrong L
     from groupeq import solve_abelian
     from groupeq.abelian import AbelianGroupDescriptor, Summand
     from groupeq.errors import VerificationFailed
     from groupeq.systems import AbelianEquation, AbelianSystem
 
-    exact = solve_abelian.smith_normal_form
+    exact = solve_abelian._column_hermite
 
-    def doubled(M):
-        U, D, V = exact(M)
-        D = [row[:] for row in D]
-        D[0][0] *= 2
-        return U, D, V
+    def doubled(rows):
+        L, V = exact(rows)
+        L = [row[:] for row in L]
+        L[0][0] *= 2
+        return L, V
 
-    monkeypatch.setattr(solve_abelian, "smith_normal_form", doubled)
+    monkeypatch.setattr(solve_abelian, "_column_hermite", doubled)
     Q = AbelianGroupDescriptor([Summand.rational()])
     system = AbelianSystem(
         Q,
@@ -179,6 +198,7 @@ X_ONE = X_EQUALS % ("1", '["1"]')
 
 HEISENBERG_3 = '{"kind":"heisenberg","ring":{"kind":"mod","p":3}}'
 X_TIMES_C = '{"equations":[{"word":[{"var":"x","exp":%s},{"const":%s}]}]}'
+X_TIMES_X1 = X_TIMES_C % ("1", '["1","0","0"]')
 
 
 @pytest.mark.parametrize(
@@ -197,6 +217,21 @@ X_TIMES_C = '{"equations":[{"word":[{"var":"x","exp":%s},{"const":%s}]}]}'
         pytest.param(ONE_SUMMAND % '"q"', X_EQUALS % ("1", "[0.5]"), id="float-rational"),
         pytest.param(HEISENBERG_3, X_TIMES_C % ("2.5", '["1","0","0"]'), id="float-word-exponent"),
         pytest.param(HEISENBERG_3, X_TIMES_C % ("1", '["1","0"]'), id="short-heisenberg-element"),
+        pytest.param('{"summands":5}', X_ONE, id="summands-not-array"),
+        pytest.param('{"summands":[5]}', X_ONE, id="summand-not-object"),
+        pytest.param("[1,2]", X_ONE, id="group-not-object"),
+        pytest.param(Z4, "[1]", id="system-not-object"),
+        pytest.param(Z4, '{"vars":["x"],"equations":5}', id="equations-not-array"),
+        pytest.param(Z4, '{"vars":["x"],"equations":[5]}', id="equation-not-object"),
+        pytest.param(Z4, '{"equations":[{"coeffs":["x"],"rhs":["1"]}]}', id="coeffs-not-object"),
+        pytest.param(Z4, '{"vars":"x","equations":[]}', id="vars-string"),
+        pytest.param(Z4, '{"vars":"xy","equations":[]}', id="vars-string-of-names"),
+        pytest.param(Z4, '{"vars":["x",1],"equations":[]}', id="vars-not-strings"),
+        pytest.param('{"kind":"heisenberg","ring":5}', X_TIMES_X1, id="ring-not-object"),
+        pytest.param(HEISENBERG_3, '{"equations":[{"word":{"var":"x"}}]}', id="word-not-array"),
+        pytest.param(HEISENBERG_3, '{"equations":[{"word":["x"]}]}', id="literal-not-object"),
+        pytest.param(HEISENBERG_3, '{"equations":[{"word":[{"var":1,"exp":1}]}]}', id="var-int"),
+        pytest.param('{"kind":"table","table":5}', '{"equations":[]}', id="table-not-array"),
     ],
 )
 def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):

@@ -184,6 +184,13 @@ def test_solve_divisible_examples():
     sol = solve_divisible(system)
     assert verify_solution(system, sol.assignment)
 
+    # roots over a Prufer group are not unique: forward substitution down
+    # [[3, 0], [1, 1]] takes divide_exact's root x = 1/9 of 3x = 1/3, then y = -x
+    P3 = descr(Summand.prufer(3))
+    system = system_of(P3, [[3, 0], [1, 1]], [P3.element([Fraction(1, 3)]), P3.zero()], ["x", "y"])
+    sol = solve_divisible(system)
+    assert (sol["x"].coords, sol["y"].coords) == ((Fraction(1, 9),), (Fraction(8, 9),))
+
 
 def test_solve_divisible_non_square():
     P = descr(Summand.prufer(3), Summand.rational())

@@ -17,6 +17,7 @@ from groupeq.systems import (
     VarPow,
     abelian_system_from_json,
     abelian_system_to_json,
+    _column_hermite,
     _rank_over_q,
     classify_matrix,
     elementary_divisors,
@@ -25,7 +26,6 @@ from groupeq.systems import (
     is_p_nonsingular,
     is_unimodular,
     parse_matrix_text,
-    reduce_to_square,
     smith_normal_form,
     verify_solution,
 )
@@ -337,38 +337,58 @@ def _system(group, rows, rhs_list, variables):
     return AbelianSystem(group, eqs, variables=variables)
 
 
-def test_reduce_to_square_single_row():
+def _hermite_checked(rows):
+    """_column_hermite(rows), checked: rows*V equals the result, which is
+    [L | 0] with L lower triangular and a nonzero diagonal."""
+    result, V = _column_hermite(rows)
+    k, n = len(rows), len(rows[0])
+    product = [[sum(rows[i][t] * V[t][j] for t in range(n)) for j in range(n)] for i in range(k)]
+    assert product == result
+    assert all(result[i][j] == 0 for i in range(k) for j in range(i + 1, n))
+    assert all(result[i][i] != 0 for i in range(k))
+    return result, V
+
+
+def _back_substituted(system, V, y):
+    """x = V[:, :k] * y as an assignment of the system's variables."""
+    zero = system.group.zero()
+    return {
+        var: sum((y[j].scale(V[r][j]) for j in range(len(y))), zero)
+        for r, var in enumerate(system.variables)
+    }
+
+
+def test_column_hermite_single_row():
     A = AbelianGroupDescriptor([Summand.cyclic(2, 3)])
     a = A.element([5])
     system = _system(A, [[1, 5]], [a], ["x", "y"])
-    square, back = reduce_to_square(system)
-    assert len(square.equations) == 1 and len(square.variables) == 1
-    matrix = square.matrix().dense()
-    assert matrix == [[1]]
-    full = back({square.variables[0]: a})
+    L, V = _hermite_checked(system.matrix().dense())
+    assert L == [[1, 0]]
+    full = _back_substituted(system, V, [a])
     assert verify_solution(system, full)
     assert full["y"].is_zero  # eliminated variable set to identity
 
 
-def test_reduce_to_square_identity_case():
+def test_column_hermite_identity_case():
     A = AbelianGroupDescriptor([Summand.cyclic(3, 1)])
     system = _system(A, [[1, 0, 2], [0, 1, 3]], [A.element([1]), A.element([2])], ["x", "y", "z"])
-    square, back = reduce_to_square(system)
-    assert square.matrix().dense() == [[1, 0], [0, 1]]
-    solution = {v: eq.rhs for v, eq in zip(square.variables, square.equations)}
-    full = back(solution)
+    L, V = _hermite_checked(system.matrix().dense())
+    assert L == [[1, 0, 0], [0, 1, 0]]
+    full = _back_substituted(system, V, [eq.rhs for eq in system.equations])
     assert verify_solution(system, full)
 
 
-def test_reduce_to_square_already_square():
+def test_column_hermite_already_square():
     A = AbelianGroupDescriptor([Summand.cyclic(2, 1)])
     system = _system(A, [[1, 1], [0, 1]], [A.element([1]), A.element([0])], ["x", "y"])
-    square, back = reduce_to_square(system)
-    assert square is system
-    assert back({"x": A.element([1]), "y": A.zero()}) == {"x": A.element([1]), "y": A.zero()}
+    L, V = _hermite_checked(system.matrix().dense())
+    assert L == [[1, 0], [0, 1]]
+    full = _back_substituted(system, V, [eq.rhs for eq in system.equations])
+    assert full == {"x": A.element([1]), "y": A.zero()}
+    assert verify_solution(system, full)
 
 
-def test_reduce_to_square_preserves_pi_nonsingularity():
+def test_column_hermite_preserves_pi_nonsingularity():
     rng = random.Random("square")
     A = AbelianGroupDescriptor([Summand.cyclic(2, 1)])
     checked = 0
@@ -382,21 +402,16 @@ def test_reduce_to_square_preserves_pi_nonsingularity():
         checked += 1
         variables = [f"x{i}" for i in range(n)]
         system = _system(A, rows, [A.random_element(rng) for _ in range(k)], variables)
-        square, _ = reduce_to_square(system, pi)
-        sq_rows = square.matrix().dense()
-        assert is_nonsingular(sq_rows)[0]
+        L, _ = _hermite_checked(system.matrix().dense())
+        square = [row[:k] for row in L]
+        assert is_nonsingular(square)[0]
         for p in pi:
-            assert is_p_nonsingular(sq_rows, p)[0]
+            assert is_p_nonsingular(square, p)[0]
 
 
-def test_reduce_to_square_rejects_singular():
-    A = AbelianGroupDescriptor([Summand.cyclic(2, 1)])
-    system = _system(A, [[1, 2], [2, 4]], [A.zero(), A.zero()], ["x", "y"])
+def test_column_hermite_rejects_singular():
     with pytest.raises(NotPiNonsingular):
-        reduce_to_square(system)
-    system2 = _system(A, [[2, 4]], [A.zero()], ["x", "y"])  # nonsingular over Q, singular mod 2
-    with pytest.raises(NotPiNonsingular):
-        reduce_to_square(system2, [2])
+        _column_hermite([[1, 2], [2, 4]])
 
 
 # -- verify_solution ------------------------------------------------------------------------
