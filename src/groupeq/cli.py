@@ -112,6 +112,8 @@ def cmd_solve(args) -> int:
 
 def cmd_demo(args) -> int:
     depth = args.depth
+    if depth < 0:
+        raise ParseError(f"--depth must be >= 0, got {depth}")
     reports = []
     if args.name == "pbad":
         p = args.p or 2
@@ -136,6 +138,8 @@ def cmd_demo(args) -> int:
 def cmd_stream(args) -> int:
     group = AbelianGroupDescriptor.from_json(_load_json_file(args.group))
     depths = sorted(set(_parse_int_list(args.depths))) if args.depths else [10, 50]
+    if any(d < 0 for d in depths):
+        raise ParseError(f"--depths must be >= 0, got {depths[0]}")
     stream = random_unimodular_stream(group, args.seed)
     state = EchelonState(group)
     results = []

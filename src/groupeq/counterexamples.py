@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import AbelianGroupDescriptor, Summand, order, primary_component
-from .errors import DuplicatePrime
+from .errors import DuplicatePrime, VerificationFailed
 from .intmath import crt_pair, is_prime
 from .solve_abelian import Solution, solve_bounded
 from .systems import AbelianEquation, AbelianSystem, is_unimodular, verify_solution
@@ -171,7 +171,8 @@ def zbad_solution_from_x(m: int, x: int) -> dict:
     for i in range(1, m + 1):
         assignment[f"y{i}"] = group.element([(1 + x) // 2**i])
         assignment[f"z{i}"] = group.element([x // 3**i])
-    assert verify_solution(system, assignment)
+    if not verify_solution(system, assignment):
+        raise VerificationFailed(f"x = {x} does not extend to a depth-{m} solution")
     return assignment
 
 

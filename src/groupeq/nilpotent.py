@@ -35,9 +35,10 @@ from .errors import (
     SearchSpaceTooLarge,
     Singular,
     UnsupportedGroup,
+    VerificationFailed,
 )
 from .intmath import INFINITE, check_prime
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, solve_bounded, solve_divisible
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
 from .systems import (
     AbelianEquation,
     AbelianSystem,
@@ -343,7 +344,8 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
     b = Fraction(g[1], n)
     c = Fraction(g[2] - n * (n - 1) // 2 * a * b, n)
     w = group.element(a, b, c)
-    assert group.power(w, n) == g, "closed-form root failed to verify"
+    if group.power(w, n) != g:
+        raise VerificationFailed("closed-form root failed to verify")
     return w
 
 
@@ -361,10 +363,10 @@ def _project_system(system: WordSystem) -> WordSystem:
     return WordSystem(G.quotient, projected, variables=system.variables)
 
 
-def _solve_recursive(system: WordSystem, central_solve) -> dict:
+def _solve_recursive(system: WordSystem) -> dict:
     G = system.group
     if G.nilpotency_class >= 2:
-        quotient_solution = _solve_recursive(_project_system(system), central_solve)
+        quotient_solution = _solve_recursive(_project_system(system))
         constants = {v: G.section(quotient_solution[v]) for v in system.variables}
     else:
         constants = {v: G.identity() for v in system.variables}
@@ -380,10 +382,8 @@ def _solve_recursive(system: WordSystem, central_solve) -> dict:
             )
         central_eqs.append(AbelianEquation(exponent_row(eq), -beta))
     central = AbelianSystem(G.center_group, central_eqs, variables=system.variables)
-    z = central_solve(central)
-    return {
-        v: G.multiply(constants[v], G.center_embed(z.assignment[v])) for v in system.variables
-    }
+    z = _solve(central)
+    return {v: G.multiply(constants[v], G.center_embed(z[v])) for v in system.variables}
 
 
 def solve_nilpotent_bounded(system: WordSystem) -> Solution:
@@ -393,7 +393,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     matrix = system.matrix()
     if not is_unimodular(matrix):
         raise NotUnimodular(divisors=elementary_divisors(matrix))
-    return _checked(system, _solve_recursive(system, solve_bounded))
+    return _checked(system, _solve_recursive(system))
 
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
@@ -402,7 +402,12 @@ def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     ok, witness = is_nonsingular(matrix)
     if not ok:
         raise Singular(witness=witness)
-    return _checked(system, _solve_recursive(system, solve_divisible))
+    G = system.group
+    while G is not None:  # every centre down the series
+        if not G.center_group.is_divisible:
+            raise UnsupportedGroup("solve_divisible needs every summand divisible")
+        G = G.quotient
+    return _checked(system, _solve_recursive(system))
 
 
 # -- table groups ---------------------------------------------------------------------

@@ -1,25 +1,29 @@
 """Constructive solvers for abelian systems.
 
-One engine, ``_ComponentState``, does every elimination over a bounded
-group: per primary component it keeps a fully reduced echelon basis with
-unit pivots modulo p**e.  A row that reduces to no unit coefficient is
-dependent modulo p and is refused with its witness combination.
+One private core, ``_solve``, answers every abelian system over cyclic,
+Prüfer and Q summands.  The cyclic summands go through one engine,
+``_ComponentState``: per prime it keeps a fully reduced echelon basis with
+unit pivots modulo the largest p**e, and a row that reduces to no unit
+coefficient is dependent modulo p and is refused with its witness
+combination.  Divisible summands, when there are any, take one column
+Hermite reduction M*V = [L | 0] and forward substitution with exact
+division.  The public solvers differ only in the group each accepts:
 
-* ``solve_mod_p``     — one ingest pass over a group of prime period p.
-* ``solve_bounded``   — ingest every equation into the per-prime unit-pivot
-                        echelon and recombine the primary coordinates.
-* ``solve_divisible`` — one column Hermite reduction M*V = [L | 0], then
-                        forward substitution with exact division in
-                        Prüfer/rational coordinates.
-* ``solve_p_group``   — the paper's literal lifting through A ⊃ pA ⊃ p²A ⊃ ...,
-                        kept as a cross-check of the engine; no route calls it.
+* ``solve_mod_p``     — every summand Z/p for one prime p; refusals are PSingular.
+* ``solve_bounded``   — cyclic summands only.
+* ``solve_divisible`` — Prüfer and Q summands only.
+* ``solve_auto``      — any mix of the three kinds, but no integer line.
 
-``solve_auto`` combines the bounded and divisible routes.  ``EchelonState``
+``solve_p_group``, the paper's literal lifting through A ⊃ pA ⊃ p²A ⊃ ...,
+is kept as a cross-check of the engine; no route calls it.  ``EchelonState``
 feeds an equation stream to the same engine, one equation at a time.
 
-Every solver verifies its answer against the input system before returning.
-Free variables are always assigned 0 and pivots take the lowest-ordered
-eligible variable, so outputs are deterministic.
+The verification boundary is the public call: these four solvers and the
+nilpotent ones each check their answer against the input system exactly
+once, through ``_checked``, before returning it; ``_solve`` and the nilpotent
+recursion that calls it check nothing.  The oracles check through
+``_checked`` too; ``EchelonState.solution`` is not verified.  Free variables are always assigned 0 and pivots take the
+lowest-ordered eligible variable, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -29,14 +33,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (
+    CYCLIC,
+    INTEGER,
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
-    classify,
     divide_exact,
     element_to_json,
+    embed_at,
     mod_p_quotient,
-    primary_part,
 )
 from .errors import (
     DependentRow,
@@ -70,7 +75,12 @@ def _encode_value(value):
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified assignment of group elements to variables."""
+    """An assignment of group elements to variables.
+
+    Every solver's Solution is verified against its system; the one
+    ``EchelonState.solution()`` returns is not (``cli.cmd_stream`` verifies it
+    against the stream truncation).
+    """
 
     assignment: dict[str, GroupElement]
 
@@ -103,14 +113,17 @@ def _subtract_multiple(target: dict, source: dict, c: int, m: int) -> None:
 
 
 class _ComponentState:
-    """Reduced echelon rows with unit pivots over the p-primary part of a group,
-    computed modulo the largest p**e among its summands."""
+    """Reduced echelon rows with unit pivots over the cyclic p-summands of a
+    group, computed modulo the largest p**e among them."""
 
     __slots__ = ("p", "modulus", "sub", "indices", "rows", "pivot_row")
 
     def __init__(self, group: AbelianGroupDescriptor, p: int):
         self.p = p
-        self.sub, self.indices = primary_part(group, p)
+        self.indices = tuple(
+            i for i, s in enumerate(group.summands) if s.kind == CYCLIC and s.p == p
+        )
+        self.sub = AbelianGroupDescriptor(group.summands[i] for i in self.indices)
         self.modulus = max(s.modulus for s in self.sub.summands)
         # rows: (pivot var, coeff dict, rhs element of sub, combination of input rows)
         self.rows: list[tuple[str, dict[str, int], GroupElement, dict[int, int]]] = []
@@ -161,8 +174,9 @@ class _ComponentState:
 
 
 def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
-    """One engine component per prime dividing the period, smallest first."""
-    return [_ComponentState(group, p) for p in sorted({s.p for s in group.summands})]
+    """One engine component per prime of a cyclic summand, smallest first."""
+    primes = {s.p for s in group.summands if s.kind == CYCLIC}
+    return [_ComponentState(group, p) for p in sorted(primes)]
 
 
 def _assemble(group: AbelianGroupDescriptor, components, variables) -> dict[str, GroupElement]:
@@ -182,22 +196,69 @@ def _assemble(group: AbelianGroupDescriptor, components, variables) -> dict[str,
 # -- batch solvers -----------------------------------------------------------------
 
 
+def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
+    """The unverified answer over a group of cyclic, Prüfer and Q summands.
+
+    The cyclic summands are solved prime by prime, smallest first, in the
+    unit-pivot echelon; a p-singular system is refused with
+    MissingPrimeNonsingularity(p) for the smallest such p.  Only when the
+    group has divisible summands must the system also be nonsingular over Q:
+    a column change M*V = [L | 0] with L lower triangular turns M*x = b into
+    L*y = b, x = V*(y, 0), and forward substitution divides down L's
+    diagonal, y_i being divide_exact's pinned root of
+    |L_ii| * y_i = ±(b_i - sum_{j<i} L_ij * y_j).  So the divisible part of
+    the answer is unique over Q and, over Prüfer summands, fixed by that root
+    choice and by V.  Over the group with no summands every system is solved
+    by zeros.
+    """
+    A = system.group
+    components = _components(A)
+    for comp in components:
+        try:
+            for idx, eq in enumerate(system.equations):
+                comp.ingest(idx, eq)
+        except DependentRow as exc:
+            witness = [exc.witness.get(j, 0) for j in range(len(system.equations))]
+            raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
+    assignment = _assemble(A, components, system.variables)
+
+    indices = tuple(i for i, s in enumerate(A.summands) if s.is_divisible)
+    if not indices:
+        return assignment
+    D = AbelianGroupDescriptor(A.summands[i] for i in indices)
+    matrix = system.matrix()
+    rows = matrix.dense()
+    ok, witness = is_nonsingular(rows)
+    if not ok:
+        raise Singular(witness=witness)
+    L, V = _column_hermite(rows)
+    y = []
+    for i, eq in enumerate(system.equations):
+        acc = D.element(eq.rhs.coords[j] for j in indices)
+        for j in range(i):
+            if L[i][j]:
+                acc = acc - y[j].scale(L[i][j])
+        y.append(divide_exact(abs(L[i][i]), acc if L[i][i] > 0 else -acc))
+    for r, var in enumerate(matrix.columns):
+        acc = D.zero()
+        for j, yj in enumerate(y):
+            if V[r][j]:
+                acc = acc + yj.scale(V[r][j])
+        assignment[var] = assignment[var] + embed_at(A, indices, acc)
+    return assignment
+
+
 def solve_mod_p(system: AbelianSystem) -> Solution:
     """Solve a p-nonsingular system over a group of prime period p."""
-    A = system.group
-    if not A.summands:
-        return _checked(system, {v: A.zero() for v in system.variables})
-    p = A.summands[0].p
-    if any(s.kind != "cyclic" or s.p != p or s.e != 1 for s in A.summands):
+    summands = system.group.summands
+    if any(s != summands[0] or s.kind != CYCLIC or s.e != 1 for s in summands):
         raise UnsupportedGroup("solve_mod_p needs every summand equal to Z/p")
-
-    comp = _ComponentState(A, p)
     try:
-        for idx, eq in enumerate(system.equations):
-            comp.ingest(idx, eq)
-    except DependentRow as exc:
-        raise PSingular(p, witness=exc.witness) from exc
-    return _checked(system, _assemble(A, [comp], system.variables))
+        assignment = _solve(system)
+    except MissingPrimeNonsingularity as exc:
+        witness = {j: k for j, k in enumerate(exc.witness) if k}
+        raise PSingular(exc.p, witness=witness) from exc
+    return _checked(system, assignment)
 
 
 def _p_subgroup(A: AbelianGroupDescriptor):
@@ -269,103 +330,26 @@ def solve_bounded(system: AbelianSystem) -> Solution:
     primes cannot obstruct solvability over such a group.  Components are
     filled smallest prime first, so a refusal names the smallest such p.
     """
-    A = system.group
-    if not A.is_bounded:
+    if not system.group.is_bounded:
         raise UnsupportedGroup("solve_bounded needs a bounded-period (finite cyclic sum) group")
-    components = _components(A)
-    for comp in components:
-        try:
-            for idx, eq in enumerate(system.equations):
-                comp.ingest(idx, eq)
-        except DependentRow as exc:
-            witness = [exc.witness.get(j, 0) for j in range(len(system.equations))]
-            raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
-    return _checked(system, _assemble(A, components, system.variables))
+    return _checked(system, _solve(system))
 
 
 def solve_divisible(system: AbelianSystem) -> Solution:
-    """Solve a nonsingular system over a divisible group (Prüfer and Q summands).
-
-    A unimodular column change M*V = [L | 0] with L lower triangular turns
-    M*x = b into L*y = b, x = V*(y, 0).  Forward substitution divides down
-    L's diagonal: y_i is divide_exact's pinned root of
-    |L_ii| * y_i = ±(b_i - sum_{j<i} L_ij * y_j), so the answer is unique
-    over Q and, over Prüfer summands, fixed by that root choice and by V.
-    """
-    A = system.group
-    if not A.is_divisible:
+    """Solve a nonsingular system over a divisible group (Prüfer and Q summands)
+    by one column Hermite reduction and forward substitution (see ``_solve``)."""
+    if not system.group.is_divisible:
         raise UnsupportedGroup("solve_divisible needs every summand divisible")
-    matrix = system.matrix()
-    rows = matrix.dense()
-    ok, witness = is_nonsingular(rows)
-    if not ok:
-        raise Singular(witness=witness)
-    L, V = _column_hermite(rows)
-    y = []
-    for i, eq in enumerate(system.equations):
-        acc = eq.rhs
-        for j in range(i):
-            if L[i][j]:
-                acc = acc - y[j].scale(L[i][j])
-        y.append(divide_exact(abs(L[i][i]), acc if L[i][i] > 0 else -acc))
-    assignment = {}
-    for r, var in enumerate(matrix.columns):
-        acc = A.zero()
-        for j, yj in enumerate(y):
-            if V[r][j]:
-                acc = acc + yj.scale(V[r][j])
-        assignment[var] = acc
-    return _checked(system, assignment)
+    return _checked(system, _solve(system))
 
 
 def solve_auto(system: AbelianSystem) -> Solution:
-    """Dispatch over a mixed group: split off the divisible part, solve the
-    bounded reduced part by primary decomposition, and recombine.
-
-    The reduced side checks p-nonsingularity for its period primes, the
-    divisible side checks nonsingularity over Q; over the trivial group
-    everything is solvable by zeros.
-    """
-    A = system.group
-    info = classify(A)
-    if not info.reduced_bounded:
+    """Solve over a mixed group: the bounded reduced part needs p-nonsingularity
+    for its period primes, a divisible part nonsingularity over Q; over the
+    trivial group everything is solvable by zeros."""
+    if any(s.kind == INTEGER for s in system.group.summands):
         raise UnsupportedGroup("no solver for groups with integer-line summands")
-
-    solutions = []
-    if info.reduced_indices:
-        reduced_system = AbelianSystem(
-            info.reduced,
-            [
-                AbelianEquation(
-                    eq.coeffs, info.reduced.element(eq.rhs.coords[i] for i in info.reduced_indices)
-                )
-                for eq in system.equations
-            ],
-            variables=system.variables,
-        )
-        solutions.append((info.reduced_indices, solve_bounded(reduced_system)))
-    if info.divisible_indices:
-        divisible_system = AbelianSystem(
-            info.divisible,
-            [
-                AbelianEquation(
-                    eq.coeffs,
-                    info.divisible.element(eq.rhs.coords[i] for i in info.divisible_indices),
-                )
-                for eq in system.equations
-            ],
-            variables=system.variables,
-        )
-        solutions.append((info.divisible_indices, solve_divisible(divisible_system)))
-
-    assignment = {}
-    for v in system.variables:
-        coords = [0] * len(A.summands)
-        for indices, sol in solutions:
-            for i, c in zip(indices, sol.assignment[v].coords):
-                coords[i] = c
-        assignment[v] = A.element(coords)
-    return _checked(system, assignment)
+    return _checked(system, _solve(system))
 
 
 # -- incremental streaming solver -------------------------------------------------
@@ -400,6 +384,7 @@ class EchelonState:
         return self
 
     def solution(self) -> Solution:
+        """The current answer for the equations ingested so far, unverified."""
         return Solution(_assemble(self.group, self.components, sorted(self.variables)))
 
 

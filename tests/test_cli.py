@@ -241,6 +241,17 @@ def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):
     assert "ParseError" in err
 
 
+def test_solve_mixed_abelian_handle_exit_3(files, capsys):
+    # a class-1 handle over Z/2 + Q has no bounded period, so it takes the
+    # divisible route, which Z/2 rules out
+    summands = '[{"kind":"cyclic","p":2,"e":1},{"kind":"q"}]'
+    group = files("g.json", '{"kind":"abelian","group":{"summands":%s}}' % summands)
+    system = files("s.json", X_TIMES_C % ("1", '["1","1/2"]'))
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (3, "")
+    assert "UnsupportedGroup: solve_divisible needs every summand divisible" in err
+
+
 def test_solve_over_large_prime_summand(files, capsys):
     p = 10**18 + 3
     group = files("g.json", '{"summands":[{"kind":"cyclic","p":%d,"e":1}]}' % p)
@@ -327,3 +338,28 @@ def test_demo_json_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("stream", "--depths", "-1"), id="stream"),
+        pytest.param(("stream", "--depths", "5,-3"), id="stream-list"),
+        pytest.param(("demo", "pbad", "--depth", "-2"), id="pbad"),
+        pytest.param(("demo", "bad", "--depth", "-1"), id="bad"),
+        pytest.param(("demo", "zbad", "--depth", "-1"), id="zbad"),
+    ],
+)
+def test_negative_depth_exit_2(files, capsys, argv):
+    if argv[0] == "stream":
+        argv = ("stream", "--group", files("g.json", Z4)) + argv[1:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "ParseError" in err
+
+
+def test_zero_depth_is_valid(files, capsys):
+    code, out, _ = run(capsys, "stream", "--group", files("g.json", Z4), "--depths", "0")
+    assert (code, out) == (0, "depth 0: PASS\n")
+    code, out, _ = run(capsys, "--format", "json", "demo", "pbad", "--depth", "0")
+    assert (code, out) == (0, "[]\n")

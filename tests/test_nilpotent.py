@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import groupeq
 from groupeq.abelian import AbelianGroupDescriptor, Summand
 from groupeq.errors import (
     CentralityAssertionFailed,
@@ -343,6 +348,23 @@ def test_solve_divisible_rejects_singular():
         solve_nilpotent_divisible(system)
 
 
+def test_solve_divisible_needs_divisible_centres():
+    # the singularity check over Q comes first; then every centre down the
+    # series must be divisible, and Z/9 is not
+    system = WordSystem(H9, [GroupEquation([VarPow("x", 1), Const(H9.element(1, 0, 0))])])
+    with pytest.raises(UnsupportedGroup, match="solve_divisible needs every summand divisible"):
+        solve_nilpotent_divisible(system)
+    singular = WordSystem(
+        H9,
+        [
+            GroupEquation([VarPow("x", 1), VarPow("y", 1)]),
+            GroupEquation([VarPow("x", 2), VarPow("y", 2)]),
+        ],
+    )
+    with pytest.raises(Singular):
+        solve_nilpotent_divisible(singular)
+
+
 def test_solve_divisible_random():
     for i in range(25):
         system = random_nonsingular_word_system(HQ, f"t3:{i}")
@@ -352,6 +374,42 @@ def test_solve_divisible_random():
 
 
 # -- roots ---------------------------------------------------------------------------------------
+
+
+RESULT_CHECKS_UNDER_O = """
+import sys
+from groupeq import counterexamples, nilpotent
+from groupeq.errors import VerificationFailed
+
+nilpotent.HeisenbergGroup.power = lambda self, g, n: self.identity()
+counterexamples.verify_solution = lambda system, assignment: False
+H = nilpotent.heisenberg_q()
+refused = 0
+for call in (
+    lambda: nilpotent.nth_root_heisenberg_q(H, H.element(1, 2, 3), 2),
+    lambda: counterexamples.zbad_solution_from_x(2, -9),
+):
+    try:
+        call()
+    except VerificationFailed:
+        refused += 1
+print(sys.flags.optimize, refused)
+"""
+
+
+def test_result_checks_survive_python_O():
+    # -O strips assert statements; with powering and verification broken,
+    # both closed-form constructions must still refuse their result
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", RESULT_CHECKS_UNDER_O],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "2"]
 
 
 def test_nth_root_examples():

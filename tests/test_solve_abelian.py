@@ -12,6 +12,13 @@ from groupeq.errors import (
     Singular,
     UnsupportedGroup,
 )
+from groupeq.nilpotent import (
+    heisenberg_mod,
+    heisenberg_q,
+    solve_nilpotent_bounded,
+    solve_nilpotent_divisible,
+)
+from groupeq.randgen import random_nonsingular_word_system, random_unimodular_word_system
 from groupeq.solve_abelian import (
     EchelonState,
     brute_force_solve,
@@ -234,8 +241,9 @@ def test_solve_auto_rejects_integer_line():
 def test_solve_auto_trivial_group_accepts_singular_rows():
     A = descr()
     eqs = [AbelianEquation({"x": 2}, A.zero()), AbelianEquation({"x": 4}, A.zero())]
-    sol = solve_auto(AbelianSystem(A, eqs))
-    assert sol["x"].coords == ()
+    for solve in (solve_auto, solve_bounded, solve_divisible, solve_mod_p):
+        sol = solve(AbelianSystem(A, eqs))
+        assert sol["x"].coords == ()
 
 
 def test_solve_auto_propagates_prime_failures():
@@ -244,6 +252,52 @@ def test_solve_auto_propagates_prime_failures():
     with pytest.raises(MissingPrimeNonsingularity) as exc:
         solve_auto(system)
     assert exc.value.p == 2
+
+    # singular over Q and modulo 2: the cyclic summands are solved first
+    A = descr(Z(2, 1), Summand.prufer(3), Summand.rational())
+    system = system_of(A, [[2, 4], [1, 2]], [A.zero(), A.element([1, 0, 0])], ["x", "y"])
+    with pytest.raises(MissingPrimeNonsingularity) as exc:
+        solve_auto(system)
+    assert (exc.value.p, exc.value.witness) == (2, [1, 0])
+
+
+def test_solve_auto_cyclic_and_prufer_summands_of_one_prime():
+    # the echelon mod 9 takes Z/9 alone; Prufer(3) and Q go through the
+    # column Hermite route
+    A = descr(Z(3, 2), Summand.prufer(3), Summand.rational())
+    a = A.element([4, Fraction(1, 3), Fraction(1, 2)])
+    b = A.element([1, Fraction(2, 9), 3])
+    sol = solve_auto(system_of(A, [[2, 3], [1, 1]], [a, b], ["x", "y"]))
+    assert sol.to_json() == {"x": ["8", "1/3", "17/2"], "y": ["2", "8/9", "-11/2"]}
+
+
+def test_each_public_solver_verifies_once(monkeypatch):
+    from groupeq import solve_abelian
+
+    calls = []
+
+    def spy(system, assignment):
+        calls.append(system)
+        return verify_solution(system, assignment)
+
+    monkeypatch.setattr(solve_abelian, "verify_solution", spy)
+    rng = random.Random("once")
+    mixed = descr(Z(2, 2), Z(3, 1), Summand.prufer(5), Summand.rational())
+    bounded = descr(Z(2, 3), Z(3, 2))
+    divisible = descr(Summand.prufer(3), Summand.rational())
+    field = descr(Z(5, 1), Z(5, 1))
+    cases = [
+        (solve_auto, system_of(mixed, [[1, 2], [0, 1]], [mixed.random_element(rng)] * 2, "xy")),
+        (solve_bounded, system_of(bounded, [[1, 2], [0, 1]], [bounded.random_element(rng)] * 2, "xy")),
+        (solve_divisible, system_of(divisible, [[2, 3]], [divisible.random_element(rng)], "xy")),
+        (solve_mod_p, system_of(field, [[1, 2]], [field.random_element(rng)], "xy")),
+        (solve_nilpotent_bounded, random_unimodular_word_system(heisenberg_mod(3, 2), "once")),
+        (solve_nilpotent_divisible, random_nonsingular_word_system(heisenberg_q(), "once")),
+    ]
+    for solve, system in cases:
+        calls.clear()
+        solve(system)
+        assert calls == [system], solve.__name__
 
 
 def test_solve_auto_random_mixed():
