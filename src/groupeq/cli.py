@@ -1,7 +1,7 @@
 """Command-line front end: classify, solve, demo, stream.
 
 Exit codes: 0 success, 2 parse error, 3 solver-reported impossibility or
-unsupported input, 4 internal assertion failure.  JSON output is canonical
+unsupported input, 4 internal consistency failure.  JSON output is canonical
 (sorted keys, fixed separators) so identical runs are byte-identical.
 """
 
@@ -83,29 +83,27 @@ def cmd_classify(args) -> int:
 
 
 def _solve_dispatch(group_obj: dict, system_obj: dict):
+    """The verified solution: every solver checks its answer before returning it."""
     kind = expect_json(group_obj, dict, "a group").get("kind", None)
     if kind is None or "summands" in group_obj:
         system_obj = expect_json(system_obj, dict, "a system")
-        system = abelian_system_from_json({"group": group_obj, **system_obj})
-        return system, solve_auto(system)
+        return solve_auto(abelian_system_from_json({"group": group_obj, **system_obj}))
     group = group_from_json(group_obj)
     system = word_system_from_json(system_obj, group)
     if isinstance(group, TableGroup):
         solution = brute_force_group_solve(system)
         if solution is None:
             raise GroupEqError("table group search exhausted: no solution")
-        return system, solution
+        return solution
     if group.period_bound is not INFINITE:
-        return system, solve_nilpotent_bounded(system)
-    return system, solve_nilpotent_divisible(system)
+        return solve_nilpotent_bounded(system)
+    return solve_nilpotent_divisible(system)
 
 
 def cmd_solve(args) -> int:
     group_obj = _load_json_file(args.group)
     system_obj = _load_json_file(args.system)
-    system, solution = _solve_dispatch(group_obj, system_obj)
-    if not verify_solution(system, solution.assignment):
-        raise VerificationFailed("refusing to print unverified output")
+    solution = _solve_dispatch(group_obj, system_obj)
     print(_dump({"solution": solution.to_json()}))
     return 0
 
@@ -202,9 +200,6 @@ def main(argv=None) -> int:
         return 2
     except (CentralityAssertionFailed, VerificationFailed) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except AssertionError as exc:
-        print(f"InternalAssertion: {exc}", file=sys.stderr)
         return 4
     except GroupEqError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -83,12 +83,14 @@ def pbad_growth(p: int, j: int) -> GrowthReport:
     if j < 2:
         raise ValueError("growth needs depth >= 2")
     group, system = gen_pbad(p, j)
-    assert is_unimodular(system.matrix())
+    if not is_unimodular(system.matrix()):
+        raise VerificationFailed("the pbad truncation is not unimodular")
     solution = solve_bounded(system)
     ks = _k_sequence(j)
     bound = p ** (ks[j - 1] + 1)
     observed = order(solution["x1"])
-    assert observed >= bound, "solution order fell below the derived bound"
+    if observed < bound:
+        raise VerificationFailed("solution order fell below the derived bound")
     return GrowthReport(
         family="pbad",
         depth=j,
@@ -125,15 +127,18 @@ def bad_support_check(primes, n: int) -> GrowthReport:
     primary components, plus the analytic reason: each a_i lies outside
     p_i * A_{p_i}, so the p_i-component of x can never vanish."""
     group, system = gen_bad(primes, n)
-    assert is_unimodular(system.matrix())
+    if not is_unimodular(system.matrix()):
+        raise VerificationFailed("the bad truncation is not unimodular")
     solution = solve_bounded(system)
     x = solution["x"]
     used = list(primes)[:n]
     support = sum(1 for p in used if not primary_component(x, p).is_zero)
-    assert support == n, "a primary component of x vanished"
+    if support != n:
+        raise VerificationFailed("a primary component of x vanished")
     for i, p in enumerate(used):
         a_i = system.equations[i].rhs
-        assert int(a_i.coords[i]) % p != 0, "a_i unexpectedly fell into p*A"
+        if int(a_i.coords[i]) % p == 0:
+            raise VerificationFailed("a_i unexpectedly fell into p*A")
     return GrowthReport(
         family="bad",
         depth=n,
@@ -190,9 +195,11 @@ def zbad_bound_check(m: int, brute_limit: int = 10**6) -> GrowthReport:
     mod2 = 2**m
     mod3 = 3**m
     min_positive = crt_pair(0, mod3, (-1) % mod2, mod2)
-    assert min_positive % mod3 == 0 and (min_positive + 1) % mod2 == 0
+    if min_positive % mod3 or (min_positive + 1) % mod2:
+        raise VerificationFailed("the CRT solution misses a congruence")
     bound = mod3
-    assert min_positive >= bound
+    if min_positive < bound:
+        raise VerificationFailed("the minimal solution fell below the bound")
 
     found = 0
     scan_violations = 0
@@ -201,7 +208,8 @@ def zbad_bound_check(m: int, brute_limit: int = 10**6) -> GrowthReport:
             found += 1
             if abs(x) < bound:
                 scan_violations += 1
-    assert scan_violations == 0, "brute force found a solution below the bound"
+    if scan_violations:
+        raise VerificationFailed("brute force found a solution below the bound")
 
     witness = Solution(zbad_solution_from_x(m, min_positive))
     return GrowthReport(

@@ -49,7 +49,6 @@ from .systems import (
     elementary_divisors,
     exponent_row,
     is_nonsingular,
-    is_unimodular,
     variables_from_json,
 )
 
@@ -390,9 +389,9 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     """Solve a unimodular word system over a bounded-period nilpotent handle."""
     if system.group.period_bound is INFINITE:
         raise UnsupportedGroup("group period is not bounded")
-    matrix = system.matrix()
-    if not is_unimodular(matrix):
-        raise NotUnimodular(divisors=elementary_divisors(matrix))
+    divisors = elementary_divisors(system.matrix())
+    if divisors != [1] * len(system.equations):
+        raise NotUnimodular(divisors=divisors)
     return _checked(system, _solve_recursive(system))
 
 

@@ -4,10 +4,13 @@ One private core, ``_solve``, answers every abelian system over cyclic,
 Prüfer and Q summands.  The cyclic summands go through one engine,
 ``_ComponentState``: per prime it keeps a fully reduced echelon basis with
 unit pivots modulo the largest p**e, and a row that reduces to no unit
-coefficient is dependent modulo p and is refused with its witness
-combination.  Divisible summands, when there are any, take one column
-Hermite reduction M*V = [L | 0] and forward substitution with exact
-division.  The public solvers differ only in the group each accepts:
+coefficient is dependent modulo p and is refused.  The engine keeps no
+combinations of the input rows: a refusal's witness is recomputed by
+``is_p_nonsingular`` on the prefix ending at the refused row.  Divisible
+summands, when there are any, take one column Hermite reduction
+M*V = [L | 0], which also decides nonsingularity over Q, and forward
+substitution with exact division.  The public solvers differ only in the
+group each accepts:
 
 * ``solve_mod_p``     — every summand Z/p for one prime p; refusals are PSingular.
 * ``solve_bounded``   — cyclic summands only.
@@ -22,8 +25,9 @@ The verification boundary is the public call: these four solvers and the
 nilpotent ones each check their answer against the input system exactly
 once, through ``_checked``, before returning it; ``_solve`` and the nilpotent
 recursion that calls it check nothing.  The oracles check through
-``_checked`` too; ``EchelonState.solution`` is not verified.  Free variables are always assigned 0 and pivots take the
-lowest-ordered eligible variable, so outputs are deterministic.
+``_checked`` too; ``EchelonState.solution`` is not verified.  Free variables
+are always assigned 0 and pivots take the lowest-ordered eligible variable,
+so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .abelian import (
 from .errors import (
     DependentRow,
     MissingPrimeNonsingularity,
+    NotPiNonsingular,
     PSingular,
     SearchSpaceTooLarge,
     Singular,
@@ -56,8 +61,10 @@ from .intmath import inv_mod
 from .systems import (
     AbelianEquation,
     AbelianSystem,
+    ExponentMatrix,
     _column_hermite,
     is_nonsingular,
+    is_p_nonsingular,
     verify_solution,
 )
 
@@ -114,7 +121,8 @@ def _subtract_multiple(target: dict, source: dict, c: int, m: int) -> None:
 
 class _ComponentState:
     """Reduced echelon rows with unit pivots over the cyclic p-summands of a
-    group, computed modulo the largest p**e among them."""
+    group, computed modulo the largest p**e among them.  No combinations of
+    the input rows are kept: a refused row raises a bare DependentRow(p)."""
 
     __slots__ = ("p", "modulus", "sub", "indices", "rows", "pivot_row")
 
@@ -125,52 +133,52 @@ class _ComponentState:
         )
         self.sub = AbelianGroupDescriptor(group.summands[i] for i in self.indices)
         self.modulus = max(s.modulus for s in self.sub.summands)
-        # rows: (pivot var, coeff dict, rhs element of sub, combination of input rows)
-        self.rows: list[tuple[str, dict[str, int], GroupElement, dict[int, int]]] = []
+        # rows: (pivot var, coeff dict, rhs element of sub)
+        self.rows: list[tuple[str, dict[str, int], GroupElement]] = []
         self.pivot_row: dict[str, int] = {}
 
-    def reduce(self, index: int, eq: AbelianEquation):
-        """Reduce equation ``index`` against the rows without changing them and
-        scale its pivot to 1; DependentRow if no coefficient is a unit."""
+    def reduce(self, eq: AbelianEquation):
+        """Reduce an equation against the rows without changing them and scale
+        its pivot to 1; DependentRow if no coefficient is a unit."""
         m = self.modulus
         row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
         rhs = self.sub.element(eq.rhs.coords[i] for i in self.indices)
-        comb = {index: 1}
-        for pv, prow, prhs, pcomb in self.rows:
+        for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
                 _subtract_multiple(row, prow, c, m)
-                _subtract_multiple(comb, pcomb, c, m)
                 rhs = rhs - prhs.scale(c)
         units = [v for v, k in row.items() if k % self.p != 0]
         if not units:
-            witness = {j: k % self.p for j, k in sorted(comb.items()) if k % self.p != 0}
-            raise DependentRow(self.p, witness=witness)
+            raise DependentRow(self.p)
         pv = min(units)
         inv = inv_mod(row[pv], m)
         row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
-        comb = {j: (inv * k) % m for j, k in comb.items()}
-        return pv, row, rhs.scale(inv), comb
+        return pv, row, rhs.scale(inv)
 
     def commit(self, staged) -> None:
         """Clear the staged row's pivot from every row, then append it."""
-        pv, row, rhs, comb = staged
+        pv, row, rhs = staged
         m = self.modulus
-        for i, (opv, orow, orhs, ocomb) in enumerate(self.rows):
+        for i, (opv, orow, orhs) in enumerate(self.rows):
             c = orow.get(pv, 0)
             if c:
                 _subtract_multiple(orow, row, c, m)
-                _subtract_multiple(ocomb, comb, c, m)
-                self.rows[i] = (opv, orow, orhs - rhs.scale(c), ocomb)
+                self.rows[i] = (opv, orow, orhs - rhs.scale(c))
         self.pivot_row[pv] = len(self.rows)
         self.rows.append(staged)
-
-    def ingest(self, index: int, eq: AbelianEquation) -> None:
-        self.commit(self.reduce(index, eq))
 
     def value_of(self, var: str) -> GroupElement | None:
         i = self.pivot_row.get(var)
         return None if i is None else self.rows[i][2]
+
+
+def _witness(equations, p: int) -> list[int]:
+    """The combination mod p of the refused prefix rows 0..j that vanishes, 1
+    on row j: rows 0..j-1 were accepted, so it is unique up to scale."""
+    _, kernel = is_p_nonsingular(ExponentMatrix.from_equations(equations), p)
+    inv = inv_mod(kernel[-1], p)
+    return [(inv * k) % p for k in kernel]
 
 
 def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
@@ -201,25 +209,29 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
 
     The cyclic summands are solved prime by prime, smallest first, in the
     unit-pivot echelon; a p-singular system is refused with
-    MissingPrimeNonsingularity(p) for the smallest such p.  Only when the
-    group has divisible summands must the system also be nonsingular over Q:
-    a column change M*V = [L | 0] with L lower triangular turns M*x = b into
+    MissingPrimeNonsingularity(p) for the smallest such p, its witness
+    recomputed from the rows up to the refused one.  Only when the group has
+    divisible summands must the system also be nonsingular over Q: a column
+    change M*V = [L | 0] with L lower triangular turns M*x = b into
     L*y = b, x = V*(y, 0), and forward substitution divides down L's
     diagonal, y_i being divide_exact's pinned root of
     |L_ii| * y_i = ±(b_i - sum_{j<i} L_ij * y_j).  So the divisible part of
     the answer is unique over Q and, over Prüfer summands, fixed by that root
-    choice and by V.  Over the group with no summands every system is solved
-    by zeros.
+    choice and by V.  The column reduction also decides nonsingularity over
+    Q: it fails exactly at a row that depends on the rows before it, and only
+    then does ``is_nonsingular`` run, to name the Singular witness.  Over the
+    group with no summands every system is solved by zeros.
     """
     A = system.group
     components = _components(A)
     for comp in components:
-        try:
-            for idx, eq in enumerate(system.equations):
-                comp.ingest(idx, eq)
-        except DependentRow as exc:
-            witness = [exc.witness.get(j, 0) for j in range(len(system.equations))]
-            raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
+        for idx, eq in enumerate(system.equations):
+            try:
+                comp.commit(comp.reduce(eq))
+            except DependentRow as exc:
+                witness = _witness(system.equations[: idx + 1], comp.p)
+                witness += [0] * (len(system.equations) - idx - 1)
+                raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
     assignment = _assemble(A, components, system.variables)
 
     indices = tuple(i for i, s in enumerate(A.summands) if s.is_divisible)
@@ -228,10 +240,10 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
     D = AbelianGroupDescriptor(A.summands[i] for i in indices)
     matrix = system.matrix()
     rows = matrix.dense()
-    ok, witness = is_nonsingular(rows)
-    if not ok:
-        raise Singular(witness=witness)
-    L, V = _column_hermite(rows)
+    try:
+        L, V = _column_hermite(rows)
+    except NotPiNonsingular:
+        raise Singular(witness=is_nonsingular(rows)[1]) from None
     y = []
     for i, eq in enumerate(system.equations):
         acc = D.element(eq.rhs.coords[j] for j in indices)
@@ -361,25 +373,35 @@ class EchelonState:
     Ingesting equation i of a stream whose every truncation is p-nonsingular
     (for all p dividing the group period) always yields a fresh unit pivot;
     a reduced row with no unit coefficient means the stream broke the
-    contract and raises DependentRow with the offending combination.
+    contract and raises DependentRow with the offending combination.  The
+    echelon keeps no combinations: the state keeps the ingested equations,
+    and the witness is recomputed from them and the refused one.
     """
 
     def __init__(self, group: AbelianGroupDescriptor):
         if not group.is_bounded:
             raise UnsupportedGroup("streaming needs a bounded-period group")
         self.group = group
-        self.count = 0
+        self.equations: list[AbelianEquation] = []
         self.variables: set[str] = set()
         self.components = _components(group)
+
+    @property
+    def count(self) -> int:
+        return len(self.equations)
 
     def ingest(self, eq: AbelianEquation) -> EchelonState:
         """Fold one equation in; on DependentRow the state is left unchanged."""
         if eq.rhs.descriptor != self.group:
             raise UnsupportedGroup("equation over a different group")
-        staged = [comp.reduce(self.count, eq) for comp in self.components]
+        try:
+            staged = [comp.reduce(eq) for comp in self.components]
+        except DependentRow as exc:
+            witness = _witness([*self.equations, eq], exc.p)
+            raise DependentRow(exc.p, witness={j: k for j, k in enumerate(witness) if k}) from None
         for comp, row in zip(self.components, staged):
             comp.commit(row)
-        self.count += 1
+        self.equations.append(eq)
         self.variables |= eq.variables()
         return self
 

@@ -28,6 +28,7 @@ from .abelian import (
     int_from_json,
 )
 from .errors import DescriptorMismatch, MissingVariable, NotPiNonsingular, ParseError
+from .errors import VerificationFailed
 from .intmath import check_prime
 
 # -- equations ----------------------------------------------------------------
@@ -514,8 +515,10 @@ def classify_matrix(M, primes=()) -> SingularityReport:
         report.p_nonsingular[p] = pok
         if pw is not None:
             report.p_witnesses[p] = pw
-        assert not pok or report.nonsingular
-    assert not report.unimodular or report.nonsingular
+        if pok and not report.nonsingular:
+            raise VerificationFailed(f"{p}-nonsingular rows are singular over Q")
+    if report.unimodular and not report.nonsingular:
+        raise VerificationFailed("unimodular rows are singular over Q")
     return report
 
 
@@ -531,7 +534,9 @@ def classify_stream(stream: EquationStream, depth: int, primes=()) -> Singularit
 
 def _column_hermite(rows: list[list[int]]):
     """Column operations only: bring a full-row-rank k x n matrix to [L | 0]
-    with L lower triangular.  Returns (L-extended matrix, V) with M*V = result."""
+    with L lower triangular.  Returns (L-extended matrix, V) with M*V = result.
+    Raises NotPiNonsingular exactly when a row depends over Q on the rows
+    before it: only such a row is zero past the diagonal."""
     k = len(rows)
     n = len(rows[0]) if rows else 0
     A = [row[:] for row in rows]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -215,8 +216,9 @@ def test_solve_bounded_single_equation():
 
 def test_solve_bounded_rejects_non_unimodular():
     system = WordSystem(H2, [GroupEquation([VarPow("x", 2), Const((1, 0, 0))])])
-    with pytest.raises(NotUnimodular):
+    with pytest.raises(NotUnimodular) as exc:
         solve_nilpotent_bounded(system)
+    assert exc.value.divisors == [2]
 
 
 def test_solve_bounded_random_vs_brute_force():
@@ -255,6 +257,103 @@ def test_solve_bounded_heisenberg_mod4_period_doubles():
         sol = solve_nilpotent_bounded(system)
         for eq in system.equations:
             assert evaluate_word(G, eq, sol.assignment) == G.identity()
+
+
+class UT4Mod2:
+    """UT4(Z/2), the upper unitriangular 4x4 matrices over Z/2, modulo its top
+    3 - depth superdiagonals: a handle of nilpotency class ``depth``.
+
+    An element is the tuple of its entries on superdiagonals 1..depth, in
+    that order.  The centre is the top kept superdiagonal; the quotient by it
+    is the handle one class lower, and the abelian group of the first
+    superdiagonal ends the chain.
+    """
+
+    period_bound = 4  # (I + N)**4 = I + N**4 = I in characteristic 2
+
+    def __init__(self, depth: int = 3):
+        self.nilpotency_class = depth
+        self.positions = [(i, i + d) for d in range(1, depth + 1) for i in range(4 - d)]
+        self.top = 4 - depth  # entries on the top kept superdiagonal
+        self.center_group = AbelianGroupDescriptor([Summand.cyclic(2, 1)] * self.top)
+        if depth > 2:
+            self.quotient = UT4Mod2(depth - 1)
+        else:
+            self.quotient = AbelianHandle(AbelianGroupDescriptor([Summand.cyclic(2, 1)] * 3))
+
+    def identity(self):
+        return (0,) * len(self.positions)
+
+    def multiply(self, g, h):
+        a, b = dict(zip(self.positions, g)), dict(zip(self.positions, h))
+        return tuple(
+            (a[i, j] + b[i, j] + sum(a[i, k] * b[k, j] for k in range(i + 1, j))) % 2
+            for i, j in self.positions
+        )
+
+    def power(self, g, n: int):
+        out = self.identity()
+        for _ in range(n % self.period_bound):
+            out = self.multiply(out, g)
+        return out
+
+    def invert(self, g):
+        return self.power(g, -1)
+
+    def equal(self, g, h) -> bool:
+        return g == h
+
+    def center_embed(self, z):
+        return (0,) * (len(self.positions) - self.top) + tuple(int(c) for c in z.coords)
+
+    def center_recognize(self, g):
+        if any(g[: -self.top]):
+            return None
+        return self.center_group.element(g[-self.top :])
+
+    def project(self, g):
+        q = g[: -self.top]
+        if isinstance(self.quotient, AbelianHandle):
+            return self.quotient.descriptor.element(q)
+        return q
+
+    def section(self, q):
+        if isinstance(self.quotient, AbelianHandle):
+            q = tuple(int(c) for c in q.coords)
+        return q + (0,) * self.top
+
+    def elements(self):
+        return itertools.product(range(2), repeat=len(self.positions))
+
+    def random_element(self, rng):
+        return tuple(rng.randrange(2) for _ in self.positions)
+
+
+def test_solve_bounded_class_3_vs_brute_force():
+    # UT4(Z/2) -> UT4/Z -> Z/2^3: the recursion runs three levels deep
+    G = UT4Mod2()
+    table = TableGroup.from_handle(G)  # checks the group laws on all triples
+    assert table.order == 64
+    assert set(center_of(table)) == {
+        table.index_of(g) for g in G.elements() if G.center_recognize(g) is not None
+    }
+    for i in range(24):
+        system = random_unimodular_word_system(G, f"ut4:{i}")
+        sol = solve_nilpotent_bounded(system)
+        table_eqs = [
+            GroupEquation(
+                [
+                    Const(table.index_of(lit.value)) if isinstance(lit, Const) else lit
+                    for lit in eq.word
+                ]
+            )
+            for eq in system.equations
+        ]
+        table_system = WordSystem(table, table_eqs, system.variables)
+        assert brute_force_group_solve(table_system) is not None
+        indexed = {v: table.index_of(x) for v, x in sol.assignment.items()}
+        for eq in table_eqs:
+            assert evaluate_word(table, eq, indexed) == table.identity()
 
 
 def test_solve_bounded_negative_exponent():
@@ -378,16 +477,20 @@ def test_solve_divisible_random():
 
 RESULT_CHECKS_UNDER_O = """
 import sys
-from groupeq import counterexamples, nilpotent
+from groupeq import counterexamples, nilpotent, systems
 from groupeq.errors import VerificationFailed
 
 nilpotent.HeisenbergGroup.power = lambda self, g, n: self.identity()
 counterexamples.verify_solution = lambda system, assignment: False
+counterexamples.order = lambda x: 1
+systems.is_p_nonsingular = lambda rows, p: (True, None)
 H = nilpotent.heisenberg_q()
 refused = 0
 for call in (
     lambda: nilpotent.nth_root_heisenberg_q(H, H.element(1, 2, 3), 2),
     lambda: counterexamples.zbad_solution_from_x(2, -9),
+    lambda: counterexamples.pbad_growth(2, 4),
+    lambda: systems.classify_matrix([[1, 2], [2, 4]], (3,)),
 ):
     try:
         call()
@@ -398,8 +501,10 @@ print(sys.flags.optimize, refused)
 
 
 def test_result_checks_survive_python_O():
-    # -O strips assert statements; with powering and verification broken,
-    # both closed-form constructions must still refuse their result
+    # -O strips assert statements; with powering, verification, element
+    # orders and the mod-p rank broken, both closed-form constructions, the
+    # pbad growth bound and the classification's consistency check must
+    # still refuse their result
     src = str(Path(groupeq.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-O", "-c", RESULT_CHECKS_UNDER_O],
@@ -409,7 +514,7 @@ def test_result_checks_survive_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "2"]
+    assert done.stdout.split() == ["1", "4"]
 
 
 def test_nth_root_examples():

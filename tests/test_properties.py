@@ -85,6 +85,11 @@ def test_refusal_witness_is_a_dependency_mod_p(case):
         assert any(w % p for w in witness)
         for j in range(len(rows[0])):
             assert sum(w * row[j] for w, row in zip(witness, rows)) % p == 0
+        # canonical: 1 on the refused row j, nothing after it, and the rows
+        # before j independent mod p, so the witness is unique
+        j = max(i for i, w in enumerate(witness) if w)
+        assert witness[j] == 1
+        assert is_p_nonsingular(rows[:j], p)[0]
 
 
 @SMALL
