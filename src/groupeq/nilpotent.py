@@ -429,6 +429,8 @@ class TableGroup:
             raise UnsupportedGroup(f"table groups are capped at order {self.MAX_ORDER}")
         if any(len(row) != self.order for row in self.table):
             raise ValueError("multiplication table must be square")
+        if any(not 0 <= x < self.order for row in self.table for x in row):
+            raise ValueError(f"table entries must lie in range({self.order})")
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.order)]
         self.source_elements = list(elements) if elements is not None else None
         self._identity = self._find_identity()
@@ -587,7 +589,10 @@ def word_system_from_json(obj: dict, group) -> WordSystem:
             if "const" in lit:
                 value = lit["const"]
                 if isinstance(group, TableGroup):
-                    word.append(Const(int_from_json(value)))
+                    index = int_from_json(value)
+                    if not 0 <= index < group.order:
+                        raise ParseError(f"a table constant must lie in range({group.order})")
+                    word.append(Const(index))
                 else:
                     word.append(Const(group.element_from_json(value)))
             else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .abelian import AbelianGroupDescriptor, Summand
+from .errors import VerificationFailed
 from .nilpotent import WordSystem
 from .systems import AbelianEquation, AbelianSystem, Const, EquationStream, GroupEquation, VarPow
 from .systems import is_nonsingular, is_unimodular
@@ -52,7 +53,8 @@ def random_unimodular_matrix(rng: random.Random, k: int, n: int, ops: int = 6) -
             i, j = rng.sample(range(n), 2)
             for row in A:
                 row[i] += q * row[j]
-    assert is_unimodular(A)
+    if not is_unimodular(A):
+        raise VerificationFailed("row and column operations broke unimodularity")
     return A
 
 
@@ -172,7 +174,8 @@ def random_unimodular_word_system(group, seed_key: str, max_eqs: int = 2, max_va
     variables = [f"x{i + 1}" for i in range(nvars)]
     rows = random_unimodular_matrix(rng, neqs, nvars)
     system = WordSystem(group, _words_from_matrix(group, rng, rows, variables), variables)
-    assert is_unimodular(system.matrix())
+    if not is_unimodular(system.matrix()):
+        raise VerificationFailed("the word system's exponent matrix is not unimodular")
     return system
 
 

@@ -2,10 +2,10 @@
 
 One private core, ``_solve``, answers every abelian system over cyclic,
 Prüfer and Q summands.  The cyclic summands go through one engine,
-``_ComponentState``: per prime it keeps a fully reduced echelon basis with
-unit pivots modulo the largest p**e, and a row that reduces to no unit
-coefficient is dependent modulo p and is refused.  The engine keeps no
-combinations of the input rows: a refusal's witness is recomputed by
+``_ComponentState``: per prime it appends forward echelon rows with unit
+pivots modulo the largest p**e, never rewritten, and reads the values off
+them by back substitution.  A row that reduces to no unit coefficient is
+refused as dependent modulo p; its witness is recomputed by
 ``is_p_nonsingular`` on the prefix ending at the refused row.  Divisible
 summands, when there are any, take one column Hermite reduction
 M*V = [L | 0], which also decides nonsingularity over Q, and forward
@@ -109,22 +109,13 @@ def _checked(system, assignment: dict) -> Solution:
 # -- unit-pivot echelon engine -----------------------------------------------------
 
 
-def _subtract_multiple(target: dict, source: dict, c: int, m: int) -> None:
-    """target -= c * source modulo m, in place, keeping only nonzero entries."""
-    for key, k in source.items():
-        nk = (target.get(key, 0) - c * k) % m
-        if nk:
-            target[key] = nk
-        else:
-            target.pop(key, None)
-
-
 class _ComponentState:
-    """Reduced echelon rows with unit pivots over the cyclic p-summands of a
-    group, computed modulo the largest p**e among them.  No combinations of
-    the input rows are kept: a refused row raises a bare DependentRow(p)."""
+    """Forward echelon rows with unit pivots over the cyclic p-summands of a
+    group, modulo the largest p**e among them.  A stored row is zero on the
+    earlier rows' pivots and is never rewritten.  No combinations of the
+    input rows are kept: a refused row raises a bare DependentRow(p)."""
 
-    __slots__ = ("p", "modulus", "sub", "indices", "rows", "pivot_row")
+    __slots__ = ("p", "modulus", "sub", "indices", "rows")
 
     def __init__(self, group: AbelianGroupDescriptor, p: int):
         self.p = p
@@ -135,7 +126,6 @@ class _ComponentState:
         self.modulus = max(s.modulus for s in self.sub.summands)
         # rows: (pivot var, coeff dict, rhs element of sub)
         self.rows: list[tuple[str, dict[str, int], GroupElement]] = []
-        self.pivot_row: dict[str, int] = {}
 
     def reduce(self, eq: AbelianEquation):
         """Reduce an equation against the rows without changing them and scale
@@ -146,7 +136,12 @@ class _ComponentState:
         for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
-                _subtract_multiple(row, prow, c, m)
+                for v, k in prow.items():
+                    nk = (row.get(v, 0) - c * k) % m
+                    if nk:
+                        row[v] = nk
+                    else:
+                        row.pop(v, None)
                 rhs = rhs - prhs.scale(c)
         units = [v for v, k in row.items() if k % self.p != 0]
         if not units:
@@ -157,20 +152,19 @@ class _ComponentState:
         return pv, row, rhs.scale(inv)
 
     def commit(self, staged) -> None:
-        """Clear the staged row's pivot from every row, then append it."""
-        pv, row, rhs = staged
-        m = self.modulus
-        for i, (opv, orow, orhs) in enumerate(self.rows):
-            c = orow.get(pv, 0)
-            if c:
-                _subtract_multiple(orow, row, c, m)
-                self.rows[i] = (opv, orow, orhs - rhs.scale(c))
-        self.pivot_row[pv] = len(self.rows)
+        """Append a row staged by ``reduce``; no stored row changes."""
         self.rows.append(staged)
 
-    def value_of(self, var: str) -> GroupElement | None:
-        i = self.pivot_row.get(var)
-        return None if i is None else self.rows[i][2]
+    def values(self) -> dict[str, GroupElement]:
+        """The pivot values by one back substitution, last row first, with
+        free variables 0: a row holds no earlier row's pivot."""
+        vals: dict[str, GroupElement] = {}
+        for pv, row, rhs in reversed(self.rows):
+            for v, k in row.items():
+                if v in vals:
+                    rhs = rhs - vals[v].scale(k)
+            vals[pv] = rhs
+        return vals
 
 
 def _witness(equations, p: int) -> list[int]:
@@ -189,16 +183,12 @@ def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
 
 def _assemble(group: AbelianGroupDescriptor, components, variables) -> dict[str, GroupElement]:
     """Recombine the components' pivot values; free variables are 0."""
-    assignment = {}
-    for v in variables:
-        coords = [0] * len(group.summands)
-        for comp in components:
-            val = comp.value_of(v)
-            if val is not None:
-                for i, c in zip(comp.indices, val.coords):
-                    coords[i] = c
-        assignment[v] = group.element(coords)
-    return assignment
+    coords = {v: [0] * len(group.summands) for v in variables}
+    for comp in components:
+        for v, val in comp.values().items():
+            for i, c in zip(comp.indices, val.coords):
+                coords[v][i] = c
+    return {v: group.element(c) for v, c in coords.items()}
 
 
 # -- batch solvers -----------------------------------------------------------------

@@ -469,8 +469,7 @@ def elementary_divisors(M) -> list[int]:
 def is_unimodular(M) -> bool:
     """True iff every elementary divisor is 1, i.e. p-nonsingular for every prime."""
     rows = _dense(M)
-    rank, minor, _ = _rank_over_q(rows)
-    return rank == len(rows) and all(d == 1 for d in _divisors_mod(rows, rank, minor))
+    return elementary_divisors(rows) == [1] * len(rows)
 
 
 @dataclass
@@ -507,16 +506,17 @@ def classify_matrix(M, primes=()) -> SingularityReport:
     rank, minor, witness = _rank_over_q(rows)
     report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
     report.divisors = _divisors_mod(rows, rank, minor)
-    report.unimodular = len(report.divisors) == len(rows) and all(
-        d == 1 for d in report.divisors
-    )
+    report.unimodular = report.divisors == [1] * len(rows)
+    # rank mod p is the number of divisors prime to p, so only a p-singular
+    # prime needs an elimination mod p, for its witness
     for p in primes:
-        pok, pw = is_p_nonsingular(rows, p)
+        check_prime(p)
+        pok = report.nonsingular and all(d % p for d in report.divisors)
         report.p_nonsingular[p] = pok
-        if pw is not None:
-            report.p_witnesses[p] = pw
-        if pok and not report.nonsingular:
-            raise VerificationFailed(f"{p}-nonsingular rows are singular over Q")
+        if not pok:
+            independent, report.p_witnesses[p] = is_p_nonsingular(rows, p)
+            if independent:
+                raise VerificationFailed(f"elimination mod {p} contradicts the divisors")
     if report.unimodular and not report.nonsingular:
         raise VerificationFailed("unimodular rows are singular over Q")
     return report

@@ -194,6 +194,7 @@ X_ONE = X_EQUALS % ("1", '["1"]')
 HEISENBERG_3 = '{"kind":"heisenberg","ring":{"kind":"mod","p":3}}'
 X_TIMES_C = '{"equations":[{"word":[{"var":"x","exp":%s},{"const":%s}]}]}'
 X_TIMES_X1 = X_TIMES_C % ("1", '["1","0","0"]')
+Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
 
 
 @pytest.mark.parametrize(
@@ -227,6 +228,13 @@ X_TIMES_X1 = X_TIMES_C % ("1", '["1","0","0"]')
         pytest.param(HEISENBERG_3, '{"equations":[{"word":["x"]}]}', id="literal-not-object"),
         pytest.param(HEISENBERG_3, '{"equations":[{"word":[{"var":1,"exp":1}]}]}', id="var-int"),
         pytest.param('{"kind":"table","table":5}', '{"equations":[]}', id="table-not-array"),
+        pytest.param(
+            '{"kind":"table","table":[[0,1,2],[1,2,0],[2,0,7]]}',
+            '{"equations":[]}',
+            id="table-entry-out-of-range",
+        ),
+        pytest.param(Z2_TABLE, X_TIMES_C % ("1", "5"), id="table-constant-too-large"),
+        pytest.param(Z2_TABLE, X_TIMES_C % ("1", "-1"), id="table-constant-negative"),
     ],
 )
 def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):

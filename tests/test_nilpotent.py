@@ -477,13 +477,16 @@ def test_solve_divisible_random():
 
 RESULT_CHECKS_UNDER_O = """
 import sys
-from groupeq import counterexamples, nilpotent, systems
+from groupeq import counterexamples, nilpotent, randgen, systems
 from groupeq.errors import VerificationFailed
 
 nilpotent.HeisenbergGroup.power = lambda self, g, n: self.identity()
 counterexamples.verify_solution = lambda system, assignment: False
 counterexamples.order = lambda x: 1
 systems.is_p_nonsingular = lambda rows, p: (True, None)
+randgen.is_unimodular = lambda rows: False
+unimodular_matrix = randgen.random_unimodular_matrix
+randgen.random_unimodular_matrix = lambda rng, k, n: [[int(i == j) for j in range(n)] for i in range(k)]
 H = nilpotent.heisenberg_q()
 refused = 0
 for call in (
@@ -491,6 +494,8 @@ for call in (
     lambda: counterexamples.zbad_solution_from_x(2, -9),
     lambda: counterexamples.pbad_growth(2, 4),
     lambda: systems.classify_matrix([[1, 2], [2, 4]], (3,)),
+    lambda: unimodular_matrix(randgen.rng_for("O"), 2, 3),
+    lambda: randgen.random_unimodular_word_system(H, "O"),
 ):
     try:
         call()
@@ -502,9 +507,11 @@ print(sys.flags.optimize, refused)
 
 def test_result_checks_survive_python_O():
     # -O strips assert statements; with powering, verification, element
-    # orders and the mod-p rank broken, both closed-form constructions, the
-    # pbad growth bound and the classification's consistency check must
-    # still refuse their result
+    # orders, the mod-p rank and the unimodularity test broken, both
+    # closed-form constructions, the pbad growth bound, the classification's
+    # consistency check and both unimodular generators must still refuse
+    # their result (the word system's matrix skips the matrix generator's
+    # own check, so the word system's check is the one that fires)
     src = str(Path(groupeq.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-O", "-c", RESULT_CHECKS_UNDER_O],
@@ -514,7 +521,7 @@ def test_result_checks_survive_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "4"]
+    assert done.stdout.split() == ["1", "6"]
 
 
 def test_nth_root_examples():

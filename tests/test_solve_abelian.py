@@ -382,6 +382,22 @@ def test_stream_ingest_is_atomic():
     assert verify_solution(AbelianSystem(A, [eq1, eq2]), state.solution().assignment)
 
 
+def test_stream_never_rewrites_a_stored_row():
+    # the second row's pivot y sits in the first stored row, which keeps it:
+    # the engine only appends, and the values come from back substitution
+    A = descr(Z(2, 2))
+    state = EchelonState(A)
+    eq1 = AbelianEquation({"x": 1, "y": 1}, A.element([1]))
+    eq2 = AbelianEquation({"y": 1}, A.element([3]))
+    state.ingest(eq1)
+    (comp,) = state.components
+    pv, row, rhs = comp.rows[0]
+    snapshot = (pv, dict(row), rhs)
+    state.ingest(eq2)
+    assert comp.rows[0] == snapshot
+    assert verify_solution(AbelianSystem(A, [eq1, eq2]), state.solution().assignment)
+
+
 def test_stream_rejects_unbounded_group():
     with pytest.raises(UnsupportedGroup):
         EchelonState(descr(Summand.prufer(2)))
@@ -429,6 +445,33 @@ def test_stream_agrees_with_round_lifting():
         system, flavor = random_abelian_instance(f"lift:{i}")
         if flavor != "unsolvable":
             assert solve_bounded(system).assignment == by_lifting(system)
+
+    # dense systems, whose stored rows hold the pivots of later rows, so the
+    # values need back substitution through many rows
+    A = descr(Z(2, 3), Z(2, 1), Z(3, 2))
+    rng = random.Random("dense")
+    variables = [f"x{j}" for j in range(8)]
+    kept = deep = 0
+    for _ in range(200):
+        rows = [[rng.randint(-6, 6) for _ in variables] for _ in range(6)]
+        if not all(is_p_nonsingular(rows, p)[0] for p in (2, 3)):
+            continue
+        system = system_of(A, rows, [A.random_element(rng) for _ in rows], variables)
+        state = EchelonState(A)
+        for eq in system.equations:
+            state.ingest(eq)
+        lifted = by_lifting(system)
+        assert state.solution().assignment == lifted
+        assert solve_bounded(system).assignment == lifted
+        kept += 1
+        deep += any(
+            later in row
+            for comp in state.components
+            for i, (_, row, _) in enumerate(comp.rows)
+            for later, _, _ in comp.rows[i + 1 :]
+        )
+    assert kept >= 100
+    assert deep == kept
 
 
 # -- brute force -------------------------------------------------------------------------------------
