@@ -21,7 +21,7 @@ from .errors import (
     NotPeriodic,
     ParseError,
 )
-from .intmath import INFINITE, check_prime, inv_mod, val_p
+from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime, inv_mod, val_p
 
 CYCLIC = "cyclic"
 PRUFER = "prufer"
@@ -42,6 +42,8 @@ class Summand:
             check_prime(self.p)
             if self.e is None or self.e < 1:
                 raise ValueError(f"cyclic summand needs exponent >= 1, got {self.e}")
+            if self.e * (self.p - 1).bit_length() > MAX_MODULUS_BITS:
+                raise ValueError(f"cyclic summand {self.p}**e exceeds {MAX_MODULUS_BITS} bits")
         elif self.kind == PRUFER:
             check_prime(self.p)
         elif self.kind in (RATIONAL, INTEGER):

@@ -82,10 +82,8 @@ class MissingPrimeNonsingularity(GroupEqError):
 
 
 class NotPiNonsingular(GroupEqError):
-    def __init__(self, p=None, witness=None):
-        detail = "singular over Q" if p is None else f"singular modulo {p}"
-        super().__init__(f"system is not pi-nonsingular ({detail})")
-        self.p = p
+    def __init__(self, witness=None):
+        super().__init__("system is not pi-nonsingular (singular over Q)")
         self.witness = witness
 
 

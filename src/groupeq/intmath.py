@@ -19,6 +19,12 @@ INFINITE = math.inf
 
 FACTOR_LIMIT = 2**64
 
+# Cap on the bits of a modulus p**e, checked as e * (p - 1).bit_length()
+# (that is, e * ceil(log2 p)) before p**e is built: a JSON exponent may have
+# thousands of digits, and reducing modulo p**e would then hang or exhaust
+# memory.  2**20 bits is far past any group this exact arithmetic handles.
+MAX_MODULUS_BITS = 2**20
+
 
 # The first 13 primes as Miller-Rabin bases decide primality for every
 # n < MR_LIMIT (Sorenson & Webster 2015, "Strong pseudoprimes to twelve

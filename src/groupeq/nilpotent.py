@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedGroup,
     VerificationFailed,
 )
-from .intmath import INFINITE, check_prime
+from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime
 from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
 from .systems import (
     AbelianEquation,
@@ -87,6 +87,8 @@ class ModRing:
         check_prime(self.p)
         if self.e < 1:
             raise ValueError("exponent must be >= 1")
+        if self.e * (self.p - 1).bit_length() > MAX_MODULUS_BITS:
+            raise ValueError(f"ring Z/{self.p}**e exceeds {MAX_MODULUS_BITS} bits")
 
     @property
     def modulus(self) -> int:
@@ -195,14 +197,15 @@ class HeisenbergGroup:
     def size(self):
         return self.ring.modulus**3 if isinstance(self.ring, ModRing) else INFINITE
 
-    def random_element(self, rng, height: int = 9):
+    def random_element(self, rng):
+        """Uniform over Z/p**e; over Q, coordinates a/b with |a| <= 9, 1 <= b <= 9."""
         if isinstance(self.ring, ModRing):
             m = self.ring.modulus
             return (rng.randrange(m), rng.randrange(m), rng.randrange(m))
         return self.element(
-            Fraction(rng.randint(-height, height), rng.randint(1, height)),
-            Fraction(rng.randint(-height, height), rng.randint(1, height)),
-            Fraction(rng.randint(-height, height), rng.randint(1, height)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
 
     def element_to_json(self, g) -> list[str]:
@@ -422,7 +425,7 @@ class TableGroup:
 
     MAX_ORDER = 512
 
-    def __init__(self, table, labels=None, elements=None):
+    def __init__(self, table, elements=None):
         self.table = [list(map(int, row)) for row in table]
         self.order = len(self.table)
         if self.order > self.MAX_ORDER:
@@ -431,7 +434,6 @@ class TableGroup:
             raise ValueError("multiplication table must be square")
         if any(not 0 <= x < self.order for row in self.table for x in row):
             raise ValueError(f"table entries must lie in range({self.order})")
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(self.order)]
         self.source_elements = list(elements) if elements is not None else None
         self._identity = self._find_identity()
         self._inverse = self._find_inverses()
@@ -472,7 +474,7 @@ class TableGroup:
         table = [
             [index[group.multiply(g, h)] for h in elements] for g in elements
         ]
-        return cls(table, labels=[repr(g) for g in elements], elements=elements)
+        return cls(table, elements=elements)
 
     def identity(self) -> int:
         return self._identity

@@ -20,31 +20,29 @@ def rng_for(*key) -> random.Random:
     return random.Random(":".join(str(k) for k in key))
 
 
-def random_unimodular_stream(
-    group: AbelianGroupDescriptor, seed, coeff_bound: int = 3, fill: int = 3
-) -> EquationStream:
+def random_unimodular_stream(group: AbelianGroupDescriptor, seed) -> EquationStream:
     """A stream whose every truncation is unimodular by construction.
 
-    Equation i has coefficient 1 on x_{i+1} and at most ``fill`` random
-    entries on earlier variables, i.e. a unit lower-triangular pattern.
+    Equation i has coefficient 1 on x_{i+1} and at most 3 random entries, each
+    in ±1..±3, on earlier variables, i.e. a unit lower-triangular pattern.
     """
 
     def gen(i: int) -> AbelianEquation:
         rng = rng_for("stream", seed, i)
         coeffs = {f"x{i + 1}": 1}
         if i > 0:
-            for j in rng.sample(range(1, i + 1), k=min(fill, i)):
-                c = rng.randint(1, coeff_bound) * rng.choice((1, -1))
+            for j in rng.sample(range(1, i + 1), k=min(3, i)):
+                c = rng.randint(1, 3) * rng.choice((1, -1))
                 coeffs[f"x{j}"] = c
         return AbelianEquation(coeffs, group.random_element(rng))
 
     return EquationStream(group, gen)
 
 
-def random_unimodular_matrix(rng: random.Random, k: int, n: int, ops: int = 6) -> list[list[int]]:
-    """Shuffle [I | 0] by elementary row/column operations; stays unimodular."""
+def random_unimodular_matrix(rng: random.Random, k: int, n: int) -> list[list[int]]:
+    """Shuffle [I | 0] by 6 elementary row/column operations; stays unimodular."""
     A = [[int(i == j) for j in range(n)] for i in range(k)]
-    for _ in range(ops):
+    for _ in range(6):
         q = rng.randint(-2, 2)
         if rng.random() < 0.5 and k > 1:
             i, j = rng.sample(range(k), 2)
@@ -58,13 +56,14 @@ def random_unimodular_matrix(rng: random.Random, k: int, n: int, ops: int = 6) -
     return A
 
 
-def random_bounded_group(rng: random.Random, max_size: int = 729) -> AbelianGroupDescriptor:
+def random_bounded_group(rng: random.Random) -> AbelianGroupDescriptor:
+    """A sum of at most three small cyclic p-groups, of order at most 729."""
     pool = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (3, 3)]
     summands = []
     size = 1
     for _ in range(rng.randint(1, 3)):
         p, e = rng.choice(pool)
-        if size * p**e > max_size:
+        if size * p**e > 729:
             continue
         size *= p**e
         summands.append(Summand.cyclic(p, e))

@@ -1,14 +1,14 @@
 """Equations, systems, streams, exponent matrices and their singularity
 classification: nonsingular / p-nonsingular / unimodular, decided exactly.
 
-Rank over Q uses integer-preserving (fraction-free) elimination, which also
-yields a nonzero maximal minor; rank mod p uses elimination over the field
-of p elements.  Elementary divisors, and with them unimodularity, come from
-a Smith form over the integers modulo that minor, which covers all primes at
-once without factoring and without building transforms.  The divisible
-solver needs only _column_hermite, a column Hermite form M*V = [L | 0];
-smith_normal_form (with its transforms) is the reference that the divisor
-tests compare against.
+Rank over Q uses Bareiss's fraction-free elimination, whose last pivot row
+holds rank x rank minors; rank mod p uses elimination over the field of p
+elements.  Elementary divisors, and with them unimodularity, come from a
+Smith form over the integers modulo the gcd of those minors, which covers
+all primes at once without factoring and without building transforms.  The
+divisible solver needs only _column_hermite, a column Hermite form
+M*V = [L | 0]; smith_normal_form (with its transforms) is the reference that
+the divisor tests compare against.
 Failed classifications return a witness: a nonzero integer combination of
 rows that vanishes (mod p where applicable).
 """
@@ -187,21 +187,21 @@ def _dense(M) -> list[list[int]]:
 
 
 def _rank_over_q(rows):
-    """Content-scaled elimination over Q.
+    """Fraction-free (Bareiss) elimination over Q, with a dense trace of the
+    row operations.
 
-    Returns (rank, minor, witness): minor is |det M[I, J]| > 0 for the pivot
-    rows I and pivot columns J (1 when the rank is 0), and witness is a
-    nonzero integer combination of the rows equal to the zero row, or None
-    when the rows are independent.
+    Returns (rank, modulus, witness).  By Sylvester's identity every entry of
+    a Bareiss row is a minor of M, so the last pivot row holds rank x rank
+    minors, and its gcd, the modulus, is a positive multiple of
+    s_1 * ... * s_rank (|det M| when M is square and nonsingular; 1 when the
+    rank is 0).  witness is a nonzero integer combination of the rows equal
+    to the zero row, or None when the rows are independent.
     """
     k = len(rows)
-    if k == 0:
-        return 0, 1, None
     n = len(rows[0]) if rows else 0
     work = [row[:] for row in rows]
     trace = [[int(i == j) for j in range(k)] for i in range(k)]
-    label = list(range(k))  # the original row at each position
-    pivots = 1
+    prev = 1
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
@@ -209,42 +209,27 @@ def _rank_over_q(rows):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         trace[r], trace[pivot] = trace[pivot], trace[r]
-        label[r], label[pivot] = label[pivot], label[r]
         p = work[r][c]
-        pivots *= p
         for i in range(r + 1, k):
             a = work[i][c]
-            if a == 0:
-                continue
-            g = math.gcd(p, a)
-            mp, ma = p // g, a // g
-            work[i] = [mp * x - ma * y for x, y in zip(work[i], work[r])]
-            trace[i] = [mp * x - ma * y for x, y in zip(trace[i], trace[r])]
-            # scaling both rows by their common content keeps work = trace * M
-            # while bounding coefficient growth
-            content = math.gcd(*work[i], *trace[i])
-            if content > 1:
-                work[i] = [x // content for x in work[i]]
-                trace[i] = [x // content for x in trace[i]]
+            # a row with a = 0 is only rescaled by p / prev, a no-op when p = prev
+            if a or p != prev:
+                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], work[r])]
+                trace[i] = [(p * x - a * y) // prev for x, y in zip(trace[i], trace[r])]
+        prev = p
         r += 1
         if r == k:
             break
-    # trace row t combines original rows label[0..t] only, so restricted to
-    # the pivot rows it is lower triangular and det(work[:r, J]) = prod of
-    # pivots = det(that triangle) * det M[I, J]
-    scale = 1
-    for t in range(r):
-        scale *= trace[t][label[t]]
-    minor = abs(pivots) // abs(scale)
+    modulus = math.gcd(*work[r - 1]) if r else 1
     if r == k:
-        return r, minor, None
+        return r, modulus, None
     witness = trace[r]
     g = math.gcd(*witness)
     witness = [w // g for w in witness]
     lead = next(w for w in witness if w != 0)
     if lead < 0:
         witness = [-w for w in witness]
-    return r, minor, witness
+    return r, modulus, witness
 
 
 def is_nonsingular(M):
@@ -386,16 +371,17 @@ def _xgcd(a: int, b: int):
     return a, s0, t0
 
 
-def _divisors_mod(rows, rank: int, minor: int) -> list[int]:
+def _divisors_mod(rows, rank: int, modulus: int) -> list[int]:
     """The nonzero elementary divisors s_1 | ... | s_rank of an integer matrix
-    of the given rank, where minor is a nonzero rank x rank minor.
+    of the given rank, where modulus is a positive multiple of
+    d_rank = s_1 * ... * s_rank, such as the gcd of some rank x rank minors.
 
-    Every s_i divides d_rank = s_1 * ... * s_rank, which divides minor, so the
-    Smith form over Z/minor has invariants (s_1), ..., (s_rank), (0), ...; the
-    rank tells an s_rank equal to minor apart from a zero invariant.  Entries
-    stay below minor, and no transform is built.
+    Every s_i divides d_rank, which divides modulus, so the Smith form over
+    Z/modulus has invariants (s_1), ..., (s_rank), (0), ...; the rank tells an
+    s_rank equal to modulus apart from a zero invariant.  Entries stay below
+    modulus, and no transform is built.
     """
-    m = minor
+    m = modulus
     if m == 1:
         return [1] * rank
     A = [[x % m for x in row] for row in rows]
@@ -462,8 +448,8 @@ def _divisors_mod(rows, rank: int, minor: int) -> list[int]:
 def elementary_divisors(M) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     rows = _dense(M)
-    rank, minor, _ = _rank_over_q(rows)
-    return _divisors_mod(rows, rank, minor)
+    rank, modulus, _ = _rank_over_q(rows)
+    return _divisors_mod(rows, rank, modulus)
 
 
 def is_unimodular(M) -> bool:
@@ -503,9 +489,9 @@ class SingularityReport:
 
 def classify_matrix(M, primes=()) -> SingularityReport:
     rows = _dense(M)
-    rank, minor, witness = _rank_over_q(rows)
+    rank, modulus, witness = _rank_over_q(rows)
     report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
-    report.divisors = _divisors_mod(rows, rank, minor)
+    report.divisors = _divisors_mod(rows, rank, modulus)
     report.unimodular = report.divisors == [1] * len(rows)
     # rank mod p is the number of divisors prime to p, so only a p-singular
     # prime needs an elimination mod p, for its witness

@@ -235,6 +235,14 @@ Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
         ),
         pytest.param(Z2_TABLE, X_TIMES_C % ("1", "5"), id="table-constant-too-large"),
         pytest.param(Z2_TABLE, X_TIMES_C % ("1", "-1"), id="table-constant-negative"),
+        pytest.param(
+            ONE_SUMMAND % '"cyclic","p":2,"e":2000000', X_ONE, id="exponent-too-large-cyclic"
+        ),
+        pytest.param(
+            '{"kind":"heisenberg","ring":{"kind":"mod","p":2,"e":2000000}}',
+            X_TIMES_C % ("1", '["0","0","0"]'),
+            id="exponent-too-large-heisenberg",
+        ),
     ],
 )
 def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):

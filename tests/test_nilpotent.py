@@ -18,8 +18,11 @@ from groupeq.errors import (
     Singular,
     UnsupportedGroup,
 )
+from groupeq.intmath import INFINITE
 from groupeq.nilpotent import (
     AbelianHandle,
+    ModRing,
+    RationalRing,
     TableGroup,
     WordSystem,
     brute_force_group_solve,
@@ -36,7 +39,7 @@ from groupeq.nilpotent import (
     word_system_to_json,
 )
 from groupeq.randgen import random_nonsingular_word_system, random_unimodular_word_system
-from groupeq.systems import Const, GroupEquation, VarPow
+from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular
 
 H2 = heisenberg_mod(2)
 H3 = heisenberg_mod(3)
@@ -259,9 +262,9 @@ def test_solve_bounded_heisenberg_mod4_period_doubles():
             assert evaluate_word(G, eq, sol.assignment) == G.identity()
 
 
-class UT4Mod2:
-    """UT4(Z/2), the upper unitriangular 4x4 matrices over Z/2, modulo its top
-    3 - depth superdiagonals: a handle of nilpotency class ``depth``.
+class UT4:
+    """UT4(R), the upper unitriangular 4x4 matrices over R = Z/2 or Q, modulo
+    its top 3 - depth superdiagonals: a handle of nilpotency class ``depth``.
 
     An element is the tuple of its entries on superdiagonals 1..depth, in
     that order.  The centre is the top kept superdiagonal; the quotient by it
@@ -269,42 +272,54 @@ class UT4Mod2:
     superdiagonal ends the chain.
     """
 
-    period_bound = 4  # (I + N)**4 = I + N**4 = I in characteristic 2
-
-    def __init__(self, depth: int = 3):
+    def __init__(self, ring, depth: int = 3):
+        self.ring = ring
         self.nilpotency_class = depth
+        # (I + N)**4 = I + N**4 = I in characteristic 2
+        self.period_bound = 4 if isinstance(ring, ModRing) else INFINITE
         self.positions = [(i, i + d) for d in range(1, depth + 1) for i in range(4 - d)]
         self.top = 4 - depth  # entries on the top kept superdiagonal
-        self.center_group = AbelianGroupDescriptor([Summand.cyclic(2, 1)] * self.top)
+        self.center_group = AbelianGroupDescriptor([ring.descriptor_summand()] * self.top)
         if depth > 2:
-            self.quotient = UT4Mod2(depth - 1)
+            self.quotient = UT4(ring, depth - 1)
         else:
-            self.quotient = AbelianHandle(AbelianGroupDescriptor([Summand.cyclic(2, 1)] * 3))
+            self.quotient = AbelianHandle(AbelianGroupDescriptor([ring.descriptor_summand()] * 3))
 
     def identity(self):
-        return (0,) * len(self.positions)
+        return (self.ring.canon(0),) * len(self.positions)
 
     def multiply(self, g, h):
         a, b = dict(zip(self.positions, g)), dict(zip(self.positions, h))
         return tuple(
-            (a[i, j] + b[i, j] + sum(a[i, k] * b[k, j] for k in range(i + 1, j))) % 2
+            self.ring.canon(a[i, j] + b[i, j] + sum(a[i, k] * b[k, j] for k in range(i + 1, j)))
             for i, j in self.positions
         )
 
-    def power(self, g, n: int):
-        out = self.identity()
-        for _ in range(n % self.period_bound):
-            out = self.multiply(out, g)
-        return out
-
     def invert(self, g):
-        return self.power(g, -1)
+        # (g * h)[i, j] = g[i, j] + h[i, j] + sum_k g[i, k] * h[k, j] = 0, solved
+        # one superdiagonal at a time
+        a, h = dict(zip(self.positions, g)), {}
+        for i, j in self.positions:
+            h[i, j] = self.ring.canon(-a[i, j] - sum(a[i, k] * h[k, j] for k in range(i + 1, j)))
+        return tuple(h[ij] for ij in self.positions)
+
+    def power(self, g, n: int):
+        if n < 0:
+            return self.power(self.invert(g), -n)
+        out = self.identity()
+        while n:
+            if n & 1:
+                out = self.multiply(out, g)
+            g = self.multiply(g, g)
+            n >>= 1
+        return out
 
     def equal(self, g, h) -> bool:
         return g == h
 
     def center_embed(self, z):
-        return (0,) * (len(self.positions) - self.top) + tuple(int(c) for c in z.coords)
+        kept = len(self.positions) - self.top
+        return self.identity()[:kept] + tuple(self.ring.canon(c) for c in z.coords)
 
     def center_recognize(self, g):
         if any(g[: -self.top]):
@@ -319,19 +334,21 @@ class UT4Mod2:
 
     def section(self, q):
         if isinstance(self.quotient, AbelianHandle):
-            q = tuple(int(c) for c in q.coords)
-        return q + (0,) * self.top
+            q = tuple(self.ring.canon(c) for c in q.coords)
+        return q + self.identity()[: self.top]
 
     def elements(self):
-        return itertools.product(range(2), repeat=len(self.positions))
+        return itertools.product(range(self.ring.modulus), repeat=len(self.positions))
 
     def random_element(self, rng):
-        return tuple(rng.randrange(2) for _ in self.positions)
+        if isinstance(self.ring, ModRing):
+            return tuple(rng.randrange(self.ring.modulus) for _ in self.positions)
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in self.positions)
 
 
 def test_solve_bounded_class_3_vs_brute_force():
     # UT4(Z/2) -> UT4/Z -> Z/2^3: the recursion runs three levels deep
-    G = UT4Mod2()
+    G = UT4(ModRing(2, 1))
     table = TableGroup.from_handle(G)  # checks the group laws on all triples
     assert table.order == 64
     assert set(center_of(table)) == {
@@ -470,6 +487,37 @@ def test_solve_divisible_random():
         sol = solve_nilpotent_divisible(system)
         for eq in system.equations:
             assert evaluate_word(HQ, eq, sol.assignment) == HQ.identity()
+
+
+def test_solve_divisible_class_3():
+    # UT4(Q) -> UT4(Q)/Z -> Q^3: the recursion runs three levels deep
+    G = UT4(RationalRing())
+    assert G.quotient.nilpotency_class == 2
+    assert isinstance(G.quotient.quotient, AbelianHandle)
+    rng = random.Random("ut4q")
+    for _ in range(50):
+        g, h, k = (G.random_element(rng) for _ in range(3))
+        assert G.multiply(G.multiply(g, h), k) == G.multiply(g, G.multiply(h, k))
+        assert G.multiply(g, G.invert(g)) == G.identity() == G.multiply(G.invert(g), g)
+        z = G.center_embed(G.center_group.random_element(rng))
+        assert G.multiply(g, z) == G.multiply(z, g)
+        assert G.power(g, 3) == G.multiply(g, G.multiply(g, g))
+    for i in range(24):
+        system = random_nonsingular_word_system(G, f"ut4q:{i}")
+        sol = solve_nilpotent_divisible(system)
+        for eq in system.equations:
+            assert evaluate_word(G, eq, sol.assignment) == G.identity()
+    g = G.random_element(rng)
+    singular = WordSystem(
+        G,
+        [
+            GroupEquation([VarPow("x", 1), VarPow("y", 2), Const(g)]),
+            GroupEquation([VarPow("x", 3), Const(g), VarPow("y", 6)]),
+        ],
+    )
+    with pytest.raises(Singular) as exc:
+        solve_nilpotent_divisible(singular)
+    assert exc.value.witness == is_nonsingular(singular.matrix())[1] == [3, -1]
 
 
 # -- roots ---------------------------------------------------------------------------------------

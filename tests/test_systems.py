@@ -277,13 +277,93 @@ def test_rank_and_minor_over_q():
             rows = random_matrix(rng, kmax=5, nmax=5, bound=6)
         else:
             rows = low_rank_matrix(rng)
-        rank, minor, witness = _rank_over_q(rows)
+        rank, modulus, witness = _rank_over_q(rows)
         divisors = snf_divisors(rows)
         assert rank == len(divisors)
         assert (witness is None) == (rank == len(rows))
-        assert minor > 0 and minor % math.prod(divisors) == 0
+        assert modulus > 0 and modulus % math.prod(divisors) == 0
         if rank == len(rows) == len(rows[0]):
-            assert minor == abs(det_cofactor(rows))
+            assert modulus == abs(det_cofactor(rows))
+
+
+def _p_report(witness, p_witnesses, divisors):
+    """classify_matrix(M, (2, 3, 5)).to_json() for rows with the given
+    Q-witness that are p-singular exactly at the primes in p_witnesses."""
+    return {
+        "nonsingular": witness is None,
+        "p_nonsingular": {p: p not in p_witnesses for p in ("2", "3", "5")},
+        "unimodular": False,
+        "witness": witness,
+        "p_witnesses": p_witnesses,
+        "elementary_divisors": divisors,
+        "checked_depth": None,
+    }
+
+
+# For corank >= 2 the Q-witness depends on the elimination, and it appears in
+# canonical classify output and in Singular errors, so these are pinned
+# exactly: (rows, is_nonsingular witness, classify_matrix(rows, (2, 3, 5)) JSON).
+WITNESS_TABLE = [
+    (  # corank 2
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9]],
+        [2, -1, 0],
+        _p_report([2, -1, 0], {"2": [0, 1, 0], "3": [1, 1, 0], "5": [3, 1, 0]}, [1]),
+    ),
+    (  # square, corank 2
+        [[2, 4, 1, 0], [1, 2, 0, 3], [3, 6, 1, 3], [5, 10, 2, 3]],
+        [1, 1, -1, 0],
+        _p_report(
+            [1, 1, -1, 0], {"2": [1, 1, 1, 0], "3": [2, 2, 1, 0], "5": [4, 4, 1, 0]}, [1, 1]
+        ),
+    ),
+    (  # tall, corank 2
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+        [1, -2, 1, 0],
+        _p_report(
+            [1, -2, 1, 0], {"2": [1, 1, 0, 0], "3": [1, 1, 1, 0], "5": [1, 3, 1, 0]}, [1, 2]
+        ),
+    ),
+    (  # wide, with a zero column
+        [[3, 5, 7, 2, 0], [6, 10, 14, 4, 0], [1, 1, 1, 1, 1]],
+        [2, -1, 0],
+        _p_report([2, -1, 0], {"2": [0, 1, 0], "3": [1, 1, 0], "5": [3, 1, 0]}, [1, 1]),
+    ),
+    (  # wide, corank 2, with a zero column
+        [[4, -2, 6, 0, 8, 2], [2, -1, 3, 0, 4, 1], [0, 3, 0, 9, 0, 6], [6, 0, 9, 9, 12, 9]],
+        [1, -2, 0, 0],
+        _p_report(
+            [1, -2, 0, 0], {"2": [1, 0, 0, 0], "3": [1, 1, 0, 0], "5": [2, 1, 0, 0]}, [1, 3]
+        ),
+    ),
+    (  # leading zero column
+        [[0, 2, 4], [0, 3, 6], [0, 1, 5]],
+        [3, -2, 0],
+        _p_report([3, -2, 0], {"2": [1, 0, 0], "3": [0, 1, 0], "5": [1, 1, 0]}, [1, 3]),
+    ),
+    (
+        [[0, 0, 0], [0, 0, 0]],
+        [1, 0],
+        _p_report([1, 0], {"2": [1, 0], "3": [1, 0], "5": [1, 0]}, []),
+    ),
+    ([[]], [1], _p_report([1], {"2": [1], "3": [1], "5": [1]}, [])),  # 1 x 0
+    (
+        [[], [], []],
+        [1, 0, 0],
+        _p_report([1, 0, 0], {"2": [1, 0, 0], "3": [1, 0, 0], "5": [1, 0, 0]}, []),
+    ),
+    (
+        [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+        None,
+        _p_report(None, {"2": [0, 1, 0], "3": [1, 0, 0], "5": [0, 1, 0]}, [1, 30, 30]),
+    ),
+    ([[2, 4, 0], [6, 14, 3]], None, _p_report(None, {"2": [1, 0]}, [1, 2])),
+]
+
+
+@pytest.mark.parametrize("rows, witness, report", WITNESS_TABLE)
+def test_q_witnesses_are_pinned(rows, witness, report):
+    assert is_nonsingular(rows) == (witness is None, witness)
+    assert classify_matrix(rows, (2, 3, 5)).to_json() == report
 
 
 def test_unimodular_iff_p_nonsingular_at_divisor_primes():
