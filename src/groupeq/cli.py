@@ -8,6 +8,7 @@ unsupported input, 4 internal consistency failure.  JSON output is canonical
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -42,6 +43,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's int-to-str digit limit while a result is written; parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -66,19 +80,20 @@ def cmd_classify(args) -> int:
         return 2
     primes = _parse_int_list(args.primes) if args.primes else []
     report = classify_matrix(matrix, primes)
-    if args.format == "json":
-        print(_dump(report.to_json()))
-    else:
-        print(f"nonsingular: {report.nonsingular}")
-        if report.witness is not None:
-            print(f"  witness: {report.witness}")
-        for p in primes:
-            line = f"{p}-nonsingular: {report.p_nonsingular[p]}"
-            if p in report.p_witnesses:
-                line += f"  witness: {report.p_witnesses[p]}"
-            print(line)
-        print(f"unimodular: {report.unimodular}")
-        print(f"elementary divisors: {report.divisors}")
+    with _all_digits():
+        if args.format == "json":
+            print(_dump(report.to_json()))
+        else:
+            print(f"nonsingular: {report.nonsingular}")
+            if report.witness is not None:
+                print(f"  witness: {report.witness}")
+            for p in primes:
+                line = f"{p}-nonsingular: {report.p_nonsingular[p]}"
+                if p in report.p_witnesses:
+                    line += f"  witness: {report.p_witnesses[p]}"
+                print(line)
+            print(f"unimodular: {report.unimodular}")
+            print(f"elementary divisors: {report.divisors}")
     return 0
 
 
@@ -104,7 +119,8 @@ def cmd_solve(args) -> int:
     group_obj = _load_json_file(args.group)
     system_obj = _load_json_file(args.system)
     solution = _solve_dispatch(group_obj, system_obj)
-    print(_dump({"solution": solution.to_json()}))
+    with _all_digits():
+        print(_dump({"solution": solution.to_json()}))
     return 0
 
 
@@ -124,12 +140,13 @@ def cmd_demo(args) -> int:
             counterexamples.zbad_bound_check(m, brute_limit=args.scan)
             for m in range(1, depth + 1)
         ]
-    if args.format == "json":
-        print(_dump([r.to_json() for r in reports]))
-    else:
-        print(f"{'depth':>6}  {'metric':<14}  {'bound':>24}  {'observed':>24}")
-        for r in reports:
-            print(f"{r.depth:>6}  {r.metric:<14}  {r.bound:>24}  {r.observed:>24}")
+    with _all_digits():
+        if args.format == "json":
+            print(_dump([r.to_json() for r in reports]))
+        else:
+            print(f"{'depth':>6}  {'metric':<14}  {'bound':>24}  {'observed':>24}")
+            for r in reports:
+                print(f"{r.depth:>6}  {r.metric:<14}  {r.bound:>24}  {r.observed:>24}")
     return 0
 
 
@@ -207,7 +224,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"ParseError: malformed input ({exc})", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # a failed write, not an unreadable input
+            raise
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2
 

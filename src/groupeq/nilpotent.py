@@ -151,16 +151,9 @@ class HeisenbergGroup:
         return self.element(-g[0], -g[1], -g[2] + g[0] * g[1])
 
     def power(self, g, n: int):
-        if n < 0:
-            return self.power(self.invert(g), -n)
-        out = self.identity()
-        base = g
-        while n:
-            if n & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
-            n >>= 1
-        return out
+        # the group law gives g**n = (n*a, n*b, n*c + binom(n, 2)*a*b) for every integer n
+        a, b, c = g
+        return self.element(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
 
     def equal(self, g, h) -> bool:
         return g == h

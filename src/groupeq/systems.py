@@ -10,7 +10,11 @@ divisible solver needs only _column_hermite, a column Hermite form
 M*V = [L | 0]; smith_normal_form (with its transforms) is the reference that
 the divisor tests compare against.
 Failed classifications return a witness: a nonzero integer combination of
-rows that vanishes (mod p where applicable).
+rows that vanishes (mod p where applicable).  Each elimination keeps its
+transform inside the matrix it reduces: the row eliminations work on [M | I],
+so the first row that reduces to zero carries the witness in its last k
+entries, and the column Hermite form works on M stacked over I, so the lower
+block ends as V.
 """
 
 from __future__ import annotations
@@ -187,20 +191,19 @@ def _dense(M) -> list[list[int]]:
 
 
 def _rank_over_q(rows):
-    """Fraction-free (Bareiss) elimination over Q, with a dense trace of the
-    row operations.
+    """Fraction-free (Bareiss) elimination over Q of the rows extended by the
+    identity, [M | I], so each row carries its combination of the input rows.
 
     Returns (rank, modulus, witness).  By Sylvester's identity every entry of
     a Bareiss row is a minor of M, so the last pivot row holds rank x rank
-    minors, and its gcd, the modulus, is a positive multiple of
-    s_1 * ... * s_rank (|det M| when M is square and nonsingular; 1 when the
-    rank is 0).  witness is a nonzero integer combination of the rows equal
-    to the zero row, or None when the rows are independent.
+    minors in its first n entries, and their gcd, the modulus, is a positive
+    multiple of s_1 * ... * s_rank (|det M| when M is square and nonsingular;
+    1 when the rank is 0).  witness is a nonzero integer combination of the
+    rows equal to the zero row, or None when the rows are independent.
     """
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    work = [row[:] for row in rows]
-    trace = [[int(i == j) for j in range(k)] for i in range(k)]
+    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     prev = 1
     r = 0
     for c in range(n):
@@ -208,22 +211,18 @@ def _rank_over_q(rows):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        trace[r], trace[pivot] = trace[pivot], trace[r]
         p = work[r][c]
         for i in range(r + 1, k):
             a = work[i][c]
             # a row with a = 0 is only rescaled by p / prev, a no-op when p = prev
             if a or p != prev:
                 work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], work[r])]
-                trace[i] = [(p * x - a * y) // prev for x, y in zip(trace[i], trace[r])]
         prev = p
         r += 1
-        if r == k:
-            break
-    modulus = math.gcd(*work[r - 1]) if r else 1
+    modulus = math.gcd(*work[r - 1][:n]) if r else 1
     if r == k:
         return r, modulus, None
-    witness = trace[r]
+    witness = work[r][n:]
     g = math.gcd(*witness)
     witness = [w // g for w in witness]
     lead = next(w for w in witness if w != 0)
@@ -246,22 +245,19 @@ def is_nonsingular(M):
 def is_p_nonsingular(M, p: int):
     """True iff the rows reduced mod p are independent over the field of p
     elements.  On failure returns a witness combination, coefficients in
-    [0, p) and not all zero mod p."""
+    [0, p) and not all zero mod p: the eliminated rows are extended by the
+    identity, [M | I] mod p, and the first zero row carries its combination."""
     check_prime(p)
     rows = _dense(M)
     k = len(rows)
-    if k == 0:
-        return True, None
     n = len(rows[0]) if rows else 0
-    work = [[x % p for x in row] for row in rows]
-    trace = [[int(i == j) for j in range(k)] for i in range(k)]
+    work = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        trace[r], trace[pivot] = trace[pivot], trace[r]
         inv = pow(work[r][c], -1, p)
         for i in range(r + 1, k):
             a = work[i][c]
@@ -269,11 +265,10 @@ def is_p_nonsingular(M, p: int):
                 continue
             q = (a * inv) % p
             work[i] = [(x - q * y) % p for x, y in zip(work[i], work[r])]
-            trace[i] = [(x - q * y) % p for x, y in zip(trace[i], trace[r])]
         r += 1
-        if r == k:
-            return True, None
-    return False, trace[r]
+    if r == k:
+        return True, None
+    return False, work[r][n:]
 
 
 def smith_normal_form(M):
@@ -520,40 +515,31 @@ def classify_stream(stream: EquationStream, depth: int, primes=()) -> Singularit
 
 def _column_hermite(rows: list[list[int]]):
     """Column operations only: bring a full-row-rank k x n matrix to [L | 0]
-    with L lower triangular.  Returns (L-extended matrix, V) with M*V = result.
-    Raises NotPiNonsingular exactly when a row depends over Q on the rows
-    before it: only such a row is zero past the diagonal."""
+    with L lower triangular.  The operations act on M stacked over the n x n
+    identity, so the lower block records V with M*V = [L | 0].  Returns
+    ([L | 0], V).  Raises NotPiNonsingular exactly when a row depends over Q
+    on the rows before it: only such a row is zero past the diagonal."""
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    A = [row[:] for row in rows]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
+    A = [row[:] for row in rows] + [[int(i == j) for j in range(n)] for i in range(n)]
     for r in range(k):
         while True:
             support = [j for j in range(r, n) if A[r][j] != 0]
             if not support:
                 raise NotPiNonsingular(witness=None)
             if len(support) == 1:
-                if support[0] != r:
-                    swap_cols(r, support[0])
+                j = support[0]
+                if j != r:
+                    for row in A:
+                        row[r], row[j] = row[j], row[r]
                 break
             c = min(support, key=lambda j: (abs(A[r][j]), j))
             for j in support:
                 if j != c:
-                    add_col(j, c, -(A[r][j] // A[r][c]))
-    return A, V
+                    q = -(A[r][j] // A[r][c])
+                    for row in A:
+                        row[j] += q * row[c]
+    return A[:k], A[k:]
 
 
 # -- verification ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -243,6 +244,8 @@ Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
             X_TIMES_C % ("1", '["0","0","0"]'),
             id="exponent-too-large-heisenberg",
         ),
+        # parsing keeps Python's int-to-str digit limit (4300 digits)
+        pytest.param(Z4, X_EQUALS % ("1" * 4301, '["1"]'), id="coefficient-over-digit-limit"),
     ],
 )
 def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):
@@ -374,3 +377,68 @@ def test_zero_depth_is_valid(files, capsys):
     assert (code, out) == (0, "depth 0: PASS\n")
     code, out, _ = run(capsys, "--format", "json", "demo", "pbad", "--depth", "0")
     assert (code, out) == (0, "[]\n")
+
+
+# -- answers beyond Python's int-to-str digit limit ------------------------------------
+
+
+@pytest.fixture
+def lift_digit_limit():
+    """Call to lift the int-to-str digit limit for the rest of a test, after
+    checking that the CLI restored it."""
+    limit = sys.get_int_max_str_digits()
+
+    def lift():
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+
+    yield lift
+    sys.set_int_max_str_digits(limit)
+
+
+def test_solve_writes_an_answer_of_any_length(files, capsys, lift_digit_limit):
+    group = files("g.json", ONE_SUMMAND % '"cyclic","p":2,"e":20000')
+    system = files("s.json", X_EQUALS % ("3", '["1"]'))
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, err) == (0, "")
+    lift_digit_limit()
+    (x,) = json.loads(out)["solution"]["x"]
+    assert len(x) > 4300 and 3 * int(x) % 2**20000 == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_demo_pbad_writes_bounds_of_any_length(capsys, fmt, lift_digit_limit):
+    code, out, err = run(capsys, "--format", fmt, "demo", "pbad", "--depth", "15")
+    assert (code, err) == (0, "")
+    lift_digit_limit()
+    if fmt == "json":
+        bounds = [r["bound"] for r in json.loads(out)]
+    else:
+        bounds = [line.split()[2] for line in out.splitlines() if "order_of_x1" in line]
+    assert len(bounds) == 14 and len(bounds[-1]) > 4300
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_writes_divisors_of_any_length(files, capsys, fmt, lift_digit_limit):
+    a, b = 10**3999 + 7, 10**3999 + 9  # 4000 digits each, coprime
+    matrix = files("m.txt", f"{a} 0\n0 {b}\n")
+    code, out, err = run(capsys, "--format", fmt, "classify", "--matrix", matrix)
+    assert (code, err) == (0, "")
+    lift_digit_limit()
+    if fmt == "json":
+        assert json.loads(out)["elementary_divisors"] == [1, a * b]
+    else:
+        assert out.splitlines()[-1] == f"elementary divisors: {[1, a * b]}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("solve", "--group", "DIR", "--system", "DIR"), id="solve"),
+        pytest.param(("classify", "--matrix", "DIR"), id="classify"),
+        pytest.param(("stream", "--group", "DIR"), id="stream"),
+    ],
+)
+def test_unreadable_path_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+    assert (code, out, err) == (2, "", f"cannot read {tmp_path}\n")

@@ -86,6 +86,21 @@ def test_heisenberg_period_bounds():
     assert H2.power((1, 1, 0), 4) == H2.identity()
 
 
+@pytest.mark.parametrize(
+    "G", [heisenberg_mod(2, 3), heisenberg_mod(3, 2), heisenberg_q()], ids=["mod8", "mod9", "q"]
+)
+def test_heisenberg_power_is_repeated_product(G):
+    rng = random.Random("power")
+    for _ in range(10):
+        g = G.random_element(rng)
+        for n in range(-6, 7):
+            factor = g if n >= 0 else G.invert(g)
+            product = G.identity()
+            for _ in range(abs(n)):
+                product = G.multiply(product, factor)
+            assert G.power(g, n) == product
+
+
 # -- commutators ------------------------------------------------------------------
 
 

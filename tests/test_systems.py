@@ -357,6 +357,33 @@ WITNESS_TABLE = [
         _p_report(None, {"2": [0, 1, 0], "3": [1, 0, 0], "5": [0, 1, 0]}, [1, 30, 30]),
     ),
     ([[2, 4, 0], [6, 14, 3]], None, _p_report(None, {"2": [1, 0]}, [1, 2])),
+    # a pivot swap: the witness ends on an earlier row than the last
+    (
+        [[0, 1], [0, 1], [1, 0]],
+        [1, -1, 0],
+        _p_report([1, -1, 0], {"2": [1, 1, 0], "3": [1, 2, 0], "5": [1, 4, 0]}, [1, 1]),
+    ),
+    (
+        [[0, 2, 1], [0, 4, 2], [1, 0, 0], [3, 1, 1]],
+        [2, -1, 0, 0],
+        _p_report(
+            [2, -1, 0, 0], {"2": [0, 1, 0, 0], "3": [1, 1, 0, 0], "5": [1, 2, 0, 0]}, [1, 1, 1]
+        ),
+    ),
+    (
+        [[0, 0, 1], [0, 1, 0], [0, 2, 0], [1, 0, 0]],
+        [0, 2, -1, 0],
+        _p_report(
+            [0, 2, -1, 0], {"2": [0, 0, 1, 0], "3": [0, 1, 1, 0], "5": [0, 3, 1, 0]}, [1, 1, 1]
+        ),
+    ),
+    (
+        [[0, 3], [0, 6], [2, 1], [4, 2]],
+        [2, -1, 0, 0],
+        _p_report(
+            [2, -1, 0, 0], {"2": [0, 1, 0, 0], "3": [0, 1, 0, 0], "5": [1, 2, 0, 0]}, [1, 6]
+        ),
+    ),
 ]
 
 
@@ -487,6 +514,40 @@ def test_column_hermite_preserves_pi_nonsingularity():
         assert is_nonsingular(square)[0]
         for p in pi:
             assert is_p_nonsingular(square, p)[0]
+
+
+# (rows, _column_hermite(rows)): V decides which of the many solutions the
+# divisible solver returns, so it is pinned exactly.
+HERMITE_TABLE = [
+    ([[0, 3]], ([[3, 0]], [[0, 1], [1, 0]])),  # column swap
+    (  # column adds, then a column swap
+        [[0, 2, 3], [1, 1, 1]],
+        ([[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [-1, 3, -3], [1, -2, 2]]),
+    ),
+    ([[4, 6], [3, 5]], ([[2, 0], [2, -1]], [[-1, 3], [1, -2]])),
+    (  # wide
+        [[6, 10, 15, 0, 7], [1, -2, 3, 5, 0]],
+        (
+            [[1, 0, 0, 0, 0], [-1, 1, 0, 0, 0]],
+            [
+                [-1, 3, -11, -15, -14],
+                [0, 1, -4, -5, -7],
+                [0, 0, 1, 0, 0],
+                [0, 0, 0, 1, 0],
+                [1, -4, 13, 20, 22],
+            ],
+        ),
+    ),
+    (
+        [[2, 3, 5], [1, 4, 7], [0, 1, -1]],
+        ([[1, 0, 0], [3, 1, 0], [1, -8, 14]], [[-1, 0, -1], [1, -5, 9], [0, 3, -5]]),
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, expected", HERMITE_TABLE)
+def test_column_hermite_is_pinned(rows, expected):
+    assert _hermite_checked(rows) == expected
 
 
 def test_column_hermite_rejects_singular():
