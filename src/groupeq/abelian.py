@@ -4,6 +4,10 @@ groups, rational lines and integer lines, with exact element arithmetic.
 Coordinates are positional: element i lives in summand i of the descriptor.
 Canonical coordinate forms (residue reduced, Prüfer value in [0,1) with a
 p-power denominator, rationals in lowest terms) make equality decidable.
+They are enforced in one place, ``AbelianGroupDescriptor.element``.  A
+coordinate already in canonical form passes through unchanged: a reduced
+residue reduces to itself, and a ``Fraction`` on a rational line is kept,
+not copied.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .errors import (
@@ -68,7 +73,7 @@ class Summand:
     def integer(cls) -> Summand:
         return cls(INTEGER)
 
-    @property
+    @cached_property
     def modulus(self) -> int | None:
         """p**e for cyclic summands, None otherwise."""
         return self.p**self.e if self.kind == CYCLIC else None
@@ -102,7 +107,7 @@ def _canon_coord(s: Summand, c):
             raise ValueError(f"{c} is not a valid Prufer({s.p}) coordinate")
         return f
     if s.kind == RATIONAL:
-        return Fraction(c)
+        return c if type(c) is Fraction else Fraction(c)
     return int(c)
 
 
@@ -238,7 +243,8 @@ class GroupElement:
         return self.descriptor.element(-c for c in self.coords)
 
     def __sub__(self, other: GroupElement) -> GroupElement:
-        return self + (-other)
+        self._check_same(other)
+        return self.descriptor.element(a - b for a, b in zip(self.coords, other.coords))
 
     def scale(self, k: int) -> GroupElement:
         return self.descriptor.element(k * c for c in self.coords)

@@ -1,8 +1,10 @@
 """Command-line front end: classify, solve, demo, stream.
 
 Exit codes: 0 success, 2 parse error, 3 solver-reported impossibility or
-unsupported input, 4 internal consistency failure.  JSON output is canonical
-(sorted keys, fixed separators) so identical runs are byte-identical.
+unsupported input, 4 internal consistency failure, 141 standard output closed
+before the result was written (128 + SIGPIPE, as a shell reports a program
+that SIGPIPE ended; nothing is printed).  JSON output is canonical (sorted
+keys, fixed separators) so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -10,17 +12,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import counterexamples
-from .abelian import AbelianGroupDescriptor, expect_json
+from .abelian import AbelianGroupDescriptor, Summand, expect_json
 from .errors import (
     CentralityAssertionFailed,
     GroupEqError,
     ParseError,
     VerificationFailed,
 )
-from .intmath import INFINITE
+from .intmath import INFINITE, MAX_MODULUS_BITS
 from .nilpotent import (
     TableGroup,
     brute_force_group_solve,
@@ -131,9 +134,16 @@ def cmd_demo(args) -> int:
     reports = []
     if args.name == "pbad":
         p = args.p or 2
+        if depth >= 2:
+            # Refuse an over-limit depth before any smaller one runs.  Its last
+            # summand is Z/p**k, k = 2**depth - 1; the depth is clipped where
+            # every p is already over the cap, so that k stays small.
+            Summand.cyclic(p, 2 ** min(depth, MAX_MODULUS_BITS.bit_length() + 1) - 1)
         reports = [counterexamples.pbad_growth(p, j) for j in range(2, depth + 1)]
     elif args.name == "bad":
         primes = _parse_int_list(args.primes) if args.primes else [2, 3, 5, 7, 11, 13]
+        if depth > len(primes):
+            raise ParseError(f"--depth must be at most {len(primes)}, the number of primes")
         reports = [counterexamples.bad_support_check(primes, n) for n in range(1, depth + 1)]
     elif args.name == "zbad":
         reports = [
@@ -211,7 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at the null device so that the
+        # flush at exit cannot raise again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import (
     AbelianGroupDescriptor,
@@ -90,7 +91,7 @@ class ModRing:
         if self.e * (self.p - 1).bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"ring Z/{self.p}**e exceeds {MAX_MODULUS_BITS} bits")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.e
 
@@ -107,7 +108,7 @@ class ModRing:
 @dataclass(frozen=True)
 class RationalRing:
     def canon(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def descriptor_summand(self) -> Summand:
         return Summand.rational()
@@ -127,6 +128,7 @@ class HeisenbergGroup:
 
     def __init__(self, ring):
         self.ring = ring
+        self._zero = ring.canon(0)
         self.center_group = AbelianGroupDescriptor([ring.descriptor_summand()])
         self._quotient_descriptor = AbelianGroupDescriptor([ring.descriptor_summand()] * 2)
         self.quotient = AbelianHandle(self._quotient_descriptor)
@@ -138,7 +140,7 @@ class HeisenbergGroup:
             self.period_bound = INFINITE
 
     def identity(self):
-        z = self.ring.canon(0)
+        z = self._zero
         return (z, z, z)
 
     def element(self, a, b, c):
@@ -165,7 +167,7 @@ class HeisenbergGroup:
 
     def center_recognize(self, g):
         """Center coordinates of g, or None when g is not central."""
-        if g[0] != self.ring.canon(0) or g[1] != self.ring.canon(0):
+        if g[0] != self._zero or g[1] != self._zero:
             return None
         return self.center_group.element([g[2]])
 

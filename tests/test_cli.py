@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import groupeq
+from groupeq import counterexamples
 from groupeq.cli import main
 
 
@@ -370,6 +375,70 @@ def test_negative_depth_exit_2(files, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        pytest.param(("demo", "pbad", "--depth", "21"), "pbad_growth", id="pbad-p2"),
+        pytest.param(("demo", "pbad", "--p", "3", "--depth", "20"), "pbad_growth", id="pbad-p3"),
+        pytest.param(("demo", "pbad", "--depth", "10000000000"), "pbad_growth", id="pbad-huge"),
+        pytest.param(("demo", "bad", "--depth", "7"), "bad_support_check", id="bad"),
+        pytest.param(("demo", "bad", "--primes", "2,3", "--depth", "3"), "bad_support_check", id="bad-primes"),
+    ],
+)
+def test_demo_refuses_an_over_limit_depth_before_computing(capsys, monkeypatch, argv, family):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise AssertionError(f"{family}{args} ran before the depth was checked")
+
+    monkeypatch.setattr(counterexamples, family, record)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert "ParseError" in err
+
+
+@pytest.mark.parametrize("p, depth", [(2, 20), (3, 19)])
+def test_demo_pbad_accepts_the_largest_depth_under_the_cap(capsys, monkeypatch, p, depth):
+    calls = []
+    report = counterexamples.pbad_growth(p, 2)
+
+    def record(p, j):
+        calls.append(j)
+        return report
+
+    monkeypatch.setattr(counterexamples, "pbad_growth", record)
+    code, _, err = run(capsys, "demo", "pbad", "--p", str(p), "--depth", str(depth))
+    assert (code, err, calls) == (0, "", list(range(2, depth + 1)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("demo", "pbad", "--depth", "12"), id="text"),
+        pytest.param(("--format", "json", "demo", "pbad", "--depth", "12"), id="json"),
+        pytest.param(("demo", "zbad", "--depth", "1", "--scan", "10"), id="short"),
+    ],
+)
+def test_closed_stdout_stops_quietly(argv):
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupeq.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_zero_depth_is_valid(files, capsys):

@@ -1,11 +1,16 @@
-"""Property tests of the abelian solvers on small groups.
+"""Property tests of the abelian solvers on small groups, and of the element
+arithmetic they run on.
 
 Derandomized, so every run draws the same examples: bounded groups of order
 at most 64, divisible groups of at most three summands, and systems of at
-most three equations in at most three variables.
+most three equations in at most three variables.  The arithmetic tests
+compare abelian and Heisenberg elements with a reference that canonicalises
+every coordinate from scratch: ``Fraction(...)`` on Q, the fractional part
+on a Prüfer group, ``% p**e`` on Z/p**e.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 from groupeq.abelian import AbelianGroupDescriptor, Summand
 from groupeq.errors import GroupEqError, MissingPrimeNonsingularity
+from groupeq.nilpotent import ModRing, heisenberg_mod, heisenberg_q
 from groupeq.solve_abelian import solve_auto, solve_bounded, solve_divisible
 from groupeq.systems import AbelianEquation, AbelianSystem, is_p_nonsingular
 
@@ -104,3 +110,135 @@ def test_solve_auto_matches_solve_bounded(case):
 def test_solve_auto_matches_solve_divisible(case):
     system, _ = case
     assert outcome(solve_auto, system) == outcome(solve_divisible, system)
+
+
+# -- element arithmetic ----------------------------------------------------------
+
+MIXED = CYCLIC[:3] + DIVISIBLE + [Summand.integer()]
+
+
+def reference_coord(s: Summand, x):
+    """x canonicalised from scratch in summand s."""
+    if s.kind == "cyclic":
+        return int(x) % s.p**s.e
+    if s.kind == "prufer":
+        return Fraction(x) % 1
+    return Fraction(x) if s.kind == "q" else int(x)
+
+
+def is_canonical_type(s: Summand, c) -> bool:
+    return type(c) is (Fraction if s.is_divisible else int)
+
+
+@st.composite
+def mixed_elements(draw):
+    """A descriptor mixing cyclic, Prüfer, Q and Z summands, and two of its elements."""
+    group = AbelianGroupDescriptor(draw(st.lists(st.sampled_from(MIXED), min_size=1, max_size=5)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return group, group.random_element(rng), group.random_element(rng)
+
+
+@SMALL
+@given(mixed_elements(), st.integers(-40, 40))
+def test_element_arithmetic_matches_coordinatewise_reference(case, k):
+    group, a, b = case
+    raw = {
+        "a + b": (a + b, [x + y for x, y in zip(a.coords, b.coords)]),
+        "a - b": (a - b, [x - y for x, y in zip(a.coords, b.coords)]),
+        "-a": (-a, [-x for x in a.coords]),
+        "k*a": (k * a, [k * x for x in a.coords]),
+    }
+    for name, (result, coords) in raw.items():
+        assert result.coords == group.element(coords).coords, name
+        assert result.coords == tuple(map(reference_coord, group.summands, coords)), name
+        assert all(map(is_canonical_type, group.summands, result.coords)), name
+    assert a - b == a + (-b)
+
+
+@SMALL
+@given(st.lists(st.sampled_from(MIXED), min_size=1, max_size=5), st.data())
+def test_integer_coordinates_convert_to_canonical_types(summands, data):
+    group = AbelianGroupDescriptor(summands)
+    coords = [0 if s.kind == "prufer" else data.draw(st.integers(-99, 99)) for s in summands]
+    element = group.element(coords)
+    assert element.coords == tuple(map(reference_coord, summands, coords))
+    assert all(map(is_canonical_type, summands, element.coords))
+
+
+def heisenberg_reference(group):
+    """canon, multiply, invert and power with every scalar canonicalised from scratch."""
+    if isinstance(group.ring, ModRing):
+        m = group.ring.p**group.ring.e
+
+        def canon(x):
+            return int(x) % m
+
+    else:
+
+        def canon(x):
+            return Fraction(x)
+
+    def element(a, b, c):
+        return (canon(a), canon(b), canon(c))
+
+    def multiply(g, h):
+        return element(g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
+
+    def invert(g):
+        return element(-g[0], -g[1], -g[2] + g[0] * g[1])
+
+    def power(g, n):
+        out = element(0, 0, 0)
+        for _ in range(abs(n)):
+            out = multiply(out, g if n > 0 else invert(g))
+        return out
+
+    return element, multiply, invert, power
+
+
+HEISENBERG = {"Q": heisenberg_q(), "Z/8": heisenberg_mod(2, 3)}
+SCALARS = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)))
+
+
+@SMALL
+@pytest.mark.parametrize("name", sorted(HEISENBERG))
+@given(st.lists(SCALARS, min_size=6, max_size=6), st.integers(-12, 12))
+def test_heisenberg_arithmetic_matches_reference(name, scalars, n):
+    group = HEISENBERG[name]
+    element, multiply, invert, power = heisenberg_reference(group)
+    if isinstance(group.ring, ModRing):
+        scalars = [int(x) for x in scalars]
+    g, h = group.element(*scalars[:3]), group.element(*scalars[3:])
+    assert (g, h) == (element(*scalars[:3]), element(*scalars[3:]))
+    kind = int if isinstance(group.ring, ModRing) else Fraction
+    for got, want in (
+        (group.multiply(g, h), multiply(g, h)),
+        (group.invert(g), invert(g)),
+        (group.power(g, n), power(g, n)),
+        (group.identity(), element(0, 0, 0)),
+    ):
+        assert got == want
+        assert all(type(x) is kind for x in got)
+    zero = element(0, 0, 0)
+    assert (group.center_recognize(g) is None) == (g[:2] != zero[:2])
+    assert group.center_recognize(group.element(0, 0, scalars[2])).coords == (g[2],)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Summand.cyclic(3, 2), id="cyclic"),
+        pytest.param(lambda: Summand.prufer(5), id="prufer"),
+        pytest.param(lambda: Summand.rational(), id="q"),
+        pytest.param(lambda: ModRing(2, 3), id="mod-ring"),
+    ],
+)
+def test_reading_the_modulus_keeps_equality_and_hash(make):
+    read, fresh = make(), make()
+    before = hash(read)
+    modulus = read.modulus
+    assert read.modulus == modulus  # a second read gives the same value
+    assert read == fresh and fresh == read
+    assert hash(read) == before == hash(fresh)
+    assert len({read, fresh}) == 1
+    assert fresh.modulus == modulus
