@@ -218,6 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_refusal(exc: GroupEqError) -> None:
+    """The refusal on stderr; its message may carry integers of any length."""
+    with _all_digits():
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -235,10 +241,10 @@ def main(argv=None) -> int:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2
     except (CentralityAssertionFailed, VerificationFailed) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_refusal(exc)
         return 4
     except GroupEqError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_refusal(exc)
         return 3
     except (KeyError, ValueError) as exc:
         print(f"ParseError: malformed input ({exc})", file=sys.stderr)

@@ -89,8 +89,13 @@ class NotPiNonsingular(GroupEqError):
 
 class NotUnimodular(GroupEqError):
     def __init__(self, divisors=None):
-        super().__init__(f"system is not unimodular (elementary divisors {divisors})")
+        super().__init__()
         self.divisors = divisors
+
+    def __str__(self) -> str:
+        # built when printed, not when raised: a divisor may have more digits
+        # than Python converts to text by default
+        return f"system is not unimodular (elementary divisors {self.divisors})"
 
 
 class DependentRow(GroupEqError):

@@ -4,7 +4,10 @@ Two concrete families carry the algorithms: Heisenberg groups (class 2)
 over Z/p**e or over Q, and small multiplication-table groups used as
 independent oracles.  A group handle exposes exactly what the solvers
 need: multiplication, inversion, the center as an abelian descriptor with
-embed/recognize maps, and the quotient by the center with a section.
+embed/recognize maps, and the quotient by the center with a section.  A
+handle may also evaluate a whole word at once (``evaluate``); the Heisenberg
+groups and the abelian handles do, in collected form, with one
+canonicalisation per word.  Table groups fold the word left to right.
 
 The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
@@ -16,6 +19,7 @@ the whole group).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +34,7 @@ from .abelian import (
 )
 from .errors import (
     CentralityAssertionFailed,
+    DescriptorMismatch,
     MissingVariable,
     NotUnimodular,
     ParseError,
@@ -157,6 +162,41 @@ class HeisenbergGroup:
         a, b, c = g
         return self.element(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
 
+    def evaluate(self, terms):
+        """g1**n1 * ... * gm**nm for the (g, n) pairs in terms, collected in one pass.
+
+        At class 2 the product is (X, Y, Z) with X = sum ni*ai, Y = sum ni*bi
+        and Z = sum (ni*ci + binom(ni, 2)*ai*bi) + sum_{i<j} ni*ai * nj*bj;
+        the last sum runs over a prefix of X.  Over Z/p**e the sums are plain
+        ints, reduced once.  Over Q each coordinate is first scaled by the lcm
+        of its denominators, so the sums are ints and Fractions are built only
+        at the end.
+        """
+        if isinstance(self.ring, ModRing):
+            x = y = z = 0
+            for (a, b, c), n in terms:
+                nb = n * b
+                z += n * c + n * (n - 1) // 2 * a * b + x * nb
+                x += n * a
+                y += nb
+            return self.element(x, y, z)
+        # a, b and c are Fractions (or ints) with denominators dividing A, B
+        # and C; the terms of z in a*b have denominators dividing A*B
+        A = math.lcm(*(g[0].denominator for g, _ in terms))
+        B = math.lcm(*(g[1].denominator for g, _ in terms))
+        C = math.lcm(*(g[2].denominator for g, _ in terms))
+        x = y = z_c = z_ab = 0
+        for (a, b, c), n in terms:
+            a = a.numerator * (A // a.denominator)
+            b = b.numerator * (B // b.denominator)
+            nb = n * b
+            z_c += n * c.numerator * (C // c.denominator)
+            z_ab += n * (n - 1) // 2 * a * b + x * nb
+            x += n * a
+            y += nb
+        z = Fraction(z_c, C) + Fraction(z_ab, A * B)
+        return self.element(Fraction(x, A), Fraction(y, B), z)
+
     def equal(self, g, h) -> bool:
         return g == h
 
@@ -247,6 +287,17 @@ class AbelianHandle:
     def power(self, g: GroupElement, n: int) -> GroupElement:
         return g.scale(n)
 
+    def evaluate(self, terms) -> GroupElement:
+        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, canonicalised once."""
+        D = self.descriptor
+        sums = [0] * len(D.summands)
+        for g, n in terms:
+            if g.descriptor != D:
+                raise DescriptorMismatch("elements live in different groups")
+            for i, c in enumerate(g.coords):
+                sums[i] += n * c
+        return D.element(sums)
+
     def equal(self, g, h) -> bool:
         return g == h
 
@@ -294,16 +345,27 @@ def heisenberg_q() -> HeisenbergGroup:
 
 
 def evaluate_word(group, equation, assignment) -> object:
-    """Left-to-right product of a word's literals with variables substituted."""
+    """The product of a word's literals, in order, with variables substituted.
+
+    The word becomes (value, exponent) terms, a constant with exponent 1.  A
+    handle with an ``evaluate`` method takes the terms whole; any other
+    handle multiplies them from left to right.
+    """
     word = equation.word if isinstance(equation, GroupEquation) else equation
-    out = group.identity()
+    terms = []
     for lit in word:
         if isinstance(lit, Const):
-            out = group.multiply(out, lit.value)
+            terms.append((lit.value, 1))
+        elif lit.var in assignment:
+            terms.append((assignment[lit.var], lit.exp))
         else:
-            if lit.var not in assignment:
-                raise MissingVariable(f"assignment lacks variable {lit.var!r}")
-            out = group.multiply(out, group.power(assignment[lit.var], lit.exp))
+            raise MissingVariable(f"assignment lacks variable {lit.var!r}")
+    evaluate = getattr(group, "evaluate", None)
+    if evaluate is not None:
+        return evaluate(terms)
+    out = group.identity()
+    for g, n in terms:
+        out = group.multiply(out, g if n == 1 else group.power(g, n))
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 import groupeq
 from groupeq import counterexamples
 from groupeq.cli import main
+from groupeq.nilpotent import group_from_json
 
 
 def run(capsys, *argv):
@@ -498,6 +499,66 @@ def test_classify_writes_divisors_of_any_length(files, capsys, fmt, lift_digit_l
         assert json.loads(out)["elementary_divisors"] == [1, a * b]
     else:
         assert out.splitlines()[-1] == f"elementary divisors: {[1, a * b]}"
+
+
+def word_system_json(*words) -> str:
+    """A word system whose literals are (var, exp) pairs or constant coordinate lists;
+    exponents are written as decimal strings, so they may exceed the digit limit of
+    the JSON encoder."""
+    equations = [
+        {
+            "word": [
+                {"var": lit[0], "exp": str(lit[1])} if isinstance(lit, tuple) else {"const": lit}
+                for lit in word
+            ]
+        }
+        for word in words
+    ]
+    return json.dumps({"equations": equations})
+
+
+HEISENBERG_Z8 = '{"kind":"heisenberg","ring":{"kind":"mod","p":2,"e":3}}'
+HEISENBERG_Q = '{"kind":"heisenberg","ring":{"kind":"q"}}'
+
+
+def test_refusal_with_divisors_of_any_length(files, capsys, lift_digit_limit):
+    n = 10**4200  # every exponent has fewer than 4,300 digits, the determinant 8,401
+    group = files("g.json", HEISENBERG_Z8)
+    system = files(
+        "s.json", word_system_json([("x", 10 * n + 1), ("y", -n)], [("y", n), ("x", -n)])
+    )
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (3, "")
+    assert err.startswith("NotUnimodular: system is not unimodular (elementary divisors [1, ")
+    lift_digit_limit()
+    det = (10 * n + 1) * n - n * n
+    assert err == f"NotUnimodular: system is not unimodular (elementary divisors {[1, det]})\n"
+
+
+@pytest.mark.parametrize(
+    "group, c1, c2",
+    [
+        pytest.param(HEISENBERG_Z8, ["3", "5", "7"], ["1", "6", "2"], id="z8"),
+        pytest.param(HEISENBERG_Q, ["1/2", "-3/4", "5/6"], ["-2/3", "1/5", "7/9"], id="q"),
+    ],
+)
+def test_solve_takes_exponents_up_to_the_input_digit_limit(
+    files, capsys, lift_digit_limit, group, c1, c2
+):
+    # c1 x**(n+1) y**n = 1 and y c2 x = 1 is unimodular (determinant 1)
+    n = 10**4200
+    words = ([c1, ("x", n + 1), ("y", n)], [("y", 1), c2, ("x", 1)])
+    group_path = files("g.json", group)
+    system = files("s.json", word_system_json(*words))
+    code, out, err = run(capsys, "solve", "--group", group_path, "--system", system)
+    assert (code, err) == (0, "")
+    lift_digit_limit()
+    G = group_from_json(json.loads(group))
+    x, y = (G.element_from_json(c) for c in map(json.loads(out)["solution"].get, "xy"))
+    c1, c2 = G.element_from_json(c1), G.element_from_json(c2)
+    lhs1 = G.multiply(G.multiply(c1, G.power(x, n + 1)), G.power(y, n))
+    assert lhs1 == G.identity()
+    assert G.multiply(G.multiply(y, c2), x) == G.identity()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ at most 64, divisible groups of at most three summands, and systems of at
 most three equations in at most three variables.  The arithmetic tests
 compare abelian and Heisenberg elements with a reference that canonicalises
 every coordinate from scratch: ``Fraction(...)`` on Q, the fractional part
-on a Prüfer group, ``% p**e`` on Z/p**e.
+on a Prüfer group, ``% p**e`` on Z/p**e.  The word tests compare
+``evaluate_word``, which collects a word in one pass, with a literal
+left-to-right fold of ``multiply`` and ``power``.
 """
 
 import random
@@ -17,10 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupeq.abelian import AbelianGroupDescriptor, Summand
-from groupeq.errors import GroupEqError, MissingPrimeNonsingularity
-from groupeq.nilpotent import ModRing, heisenberg_mod, heisenberg_q
+from groupeq.errors import (
+    DescriptorMismatch,
+    GroupEqError,
+    MissingPrimeNonsingularity,
+    MissingVariable,
+)
+from groupeq.nilpotent import AbelianHandle, ModRing, evaluate_word, heisenberg_mod, heisenberg_q
 from groupeq.solve_abelian import solve_auto, solve_bounded, solve_divisible
-from groupeq.systems import AbelianEquation, AbelianSystem, is_p_nonsingular
+from groupeq.systems import (
+    AbelianEquation,
+    AbelianSystem,
+    Const,
+    GroupEquation,
+    VarPow,
+    is_p_nonsingular,
+)
 
 SMALL = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -196,7 +210,7 @@ def heisenberg_reference(group):
     return element, multiply, invert, power
 
 
-HEISENBERG = {"Q": heisenberg_q(), "Z/8": heisenberg_mod(2, 3)}
+HEISENBERG = {"Q": heisenberg_q(), "Z/8": heisenberg_mod(2, 3), "Z/9": heisenberg_mod(3, 2)}
 SCALARS = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)))
 
 
@@ -222,6 +236,75 @@ def test_heisenberg_arithmetic_matches_reference(name, scalars, n):
     zero = element(0, 0, 0)
     assert (group.center_recognize(g) is None) == (g[:2] != zero[:2])
     assert group.center_recognize(group.element(0, 0, scalars[2])).coords == (g[2],)
+
+
+# -- word evaluation --------------------------------------------------------------
+
+
+def folded(group, word, assignment):
+    """The word's value as a literal left-to-right fold of multiply and power."""
+    out = group.identity()
+    for lit in word:
+        if isinstance(lit, Const):
+            out = group.multiply(out, lit.value)
+        else:
+            out = group.multiply(out, group.power(assignment[lit.var], lit.exp))
+    return out
+
+
+EXPONENTS = st.integers(-6, 6).filter(bool)
+LITERALS = st.one_of(st.none(), st.tuples(st.sampled_from(["x", "y", "z"]), EXPONENTS))
+
+
+@st.composite
+def words(draw, group):
+    """A word over a handle, possibly empty, mixing constants (None in the
+    drawn literals) and powers of x, y, z; and an assignment of all three."""
+    literals = draw(st.lists(LITERALS, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    word = GroupEquation(
+        Const(group.random_element(rng)) if lit is None else VarPow(*lit) for lit in literals
+    )
+    return word, {v: group.random_element(rng) for v in "xyz"}
+
+
+def check_against_fold(group, word, assignment):
+    got = evaluate_word(group, word, assignment)
+    assert got == folded(group, word.word, assignment)
+    used = sorted(word.variables())
+    if used:
+        with pytest.raises(MissingVariable):
+            evaluate_word(group, word, {v: g for v, g in assignment.items() if v != used[0]})
+    return got
+
+
+@SMALL
+@pytest.mark.parametrize("name", sorted(HEISENBERG))
+@given(st.data())
+def test_heisenberg_word_matches_left_to_right_fold(name, data):
+    group = HEISENBERG[name]
+    kind = int if isinstance(group.ring, ModRing) else Fraction
+    for handle in (group, group.quotient):
+        got = check_against_fold(handle, *data.draw(words(handle)))
+        coords = got.coords if handle is group.quotient else got
+        assert all(type(x) is kind for x in coords)
+
+
+@SMALL
+@given(st.lists(st.sampled_from(MIXED), min_size=1, max_size=5), st.data())
+def test_abelian_word_matches_left_to_right_fold(summands, data):
+    group = AbelianGroupDescriptor(summands)
+    handle = AbelianHandle(group)
+    word, assignment = data.draw(words(group))
+    got = check_against_fold(handle, word, assignment)
+    assert all(map(is_canonical_type, summands, got.coords))
+    other = AbelianGroupDescriptor(summands + [Summand.integer()]).zero()
+    for bad_word, bad_assignment in (
+        (GroupEquation(word.word + (Const(other),)), assignment),
+        (GroupEquation(word.word + (VarPow("w", -1),)), {**assignment, "w": other}),
+    ):
+        with pytest.raises(DescriptorMismatch):
+            evaluate_word(handle, bad_word, bad_assignment)
 
 
 @pytest.mark.parametrize(
