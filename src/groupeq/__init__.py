@@ -8,7 +8,6 @@ from .abelian import (
     classify,
     divide_exact,
     height_p,
-    mod_p_quotient,
     order,
     primary_component,
 )
@@ -44,7 +43,6 @@ from .solve_abelian import (
     solve_bounded,
     solve_divisible,
     solve_mod_p,
-    solve_p_group,
 )
 from .systems import (
     AbelianEquation,
@@ -61,7 +59,6 @@ from .systems import (
     is_nonsingular,
     is_p_nonsingular,
     is_unimodular,
-    smith_normal_form,
     verify_solution,
 )
 

@@ -312,44 +312,6 @@ def embed_at(A: AbelianGroupDescriptor, indices, part: GroupElement) -> GroupEle
     return A.element(coords)
 
 
-@dataclass(frozen=True)
-class ModPQuotient:
-    """A/pA as a direct sum of Z/p with projection and a canonical section."""
-
-    group: AbelianGroupDescriptor
-    indices: tuple[int, ...]
-    source: AbelianGroupDescriptor
-    p: int
-
-    def project(self, a: GroupElement) -> GroupElement:
-        if a.descriptor != self.source:
-            raise DescriptorMismatch("element not in the source group")
-        return self.group.element(int(a.coords[i]) % self.p for i in self.indices)
-
-    def section(self, x: GroupElement) -> GroupElement:
-        """Canonical preimage: each Z/p class lifts to its residue representative."""
-        if x.descriptor != self.group:
-            raise DescriptorMismatch("element not in the quotient group")
-        coords = [0] * len(self.source.summands)
-        for i, c in zip(self.indices, x.coords):
-            coords[i] = int(c)
-        return self.source.element(coords)
-
-
-def mod_p_quotient(A: AbelianGroupDescriptor, p: int) -> ModPQuotient:
-    """Build A/pA.  Divisible summands and q-summands with q != p vanish
-    (multiplication by p is onto there); each surviving summand contributes Z/p."""
-    check_prime(p)
-    indices = []
-    for i, s in enumerate(A.summands):
-        if s.kind == CYCLIC and s.p == p:
-            indices.append(i)
-        elif s.kind == INTEGER:
-            indices.append(i)
-    quotient = AbelianGroupDescriptor([Summand.cyclic(p, 1)] * len(indices))
-    return ModPQuotient(quotient, tuple(indices), A, p)
-
-
 def divide_exact(n: int, a: GroupElement) -> GroupElement:
     """A canonical y with n*y = a in a divisible group.
 

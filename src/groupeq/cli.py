@@ -16,14 +16,14 @@ import os
 import sys
 
 from . import counterexamples
-from .abelian import AbelianGroupDescriptor, Summand, expect_json
+from .abelian import AbelianGroupDescriptor, Summand, expect_json, int_from_json
 from .errors import (
     CentralityAssertionFailed,
     GroupEqError,
     ParseError,
     VerificationFailed,
 )
-from .intmath import INFINITE, MAX_MODULUS_BITS
+from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime
 from .nilpotent import (
     TableGroup,
     brute_force_group_solve,
@@ -68,7 +68,7 @@ def _load_json_file(path: str) -> dict:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int_from_json(tok) for tok in text.split(",")]
 
 
 def cmd_classify(args) -> int:
@@ -133,7 +133,7 @@ def cmd_demo(args) -> int:
         raise ParseError(f"--depth must be >= 0, got {depth}")
     reports = []
     if args.name == "pbad":
-        p = args.p or 2
+        p = check_prime(2 if args.p is None else args.p)
         if depth >= 2:
             # Refuse an over-limit depth before any smaller one runs.  Its last
             # summand is Z/p**k, k = 2**depth - 1; the depth is clipped where
@@ -146,6 +146,8 @@ def cmd_demo(args) -> int:
             raise ParseError(f"--depth must be at most {len(primes)}, the number of primes")
         reports = [counterexamples.bad_support_check(primes, n) for n in range(1, depth + 1)]
     elif args.name == "zbad":
+        if args.scan < 0:
+            raise ParseError(f"--scan must be >= 0, got {args.scan}")
         reports = [
             counterexamples.zbad_bound_check(m, brute_limit=args.scan)
             for m in range(1, depth + 1)
@@ -204,15 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="counterexample growth tables")
     p_demo.add_argument("name", choices=("pbad", "bad", "zbad"))
-    p_demo.add_argument("--depth", type=int, default=5)
-    p_demo.add_argument("--p", type=int, help="prime for the pbad family")
+    p_demo.add_argument("--depth", type=int_from_json, default=5)
+    p_demo.add_argument("--p", type=int_from_json, help="prime for the pbad family")
     p_demo.add_argument("--primes", help="comma-separated primes for the bad family")
-    p_demo.add_argument("--scan", type=int, default=10**6, help="zbad brute-force scan limit")
+    p_demo.add_argument("--scan", type=int_from_json, default=10**6, help="zbad brute-force scan limit")
     p_demo.set_defaults(func=cmd_demo)
 
     p_stream = sub.add_parser("stream", help="seeded unimodular stream ingestion check")
     p_stream.add_argument("--group", required=True, help="JSON group file")
-    p_stream.add_argument("--seed", type=int, default=0)
+    p_stream.add_argument("--seed", type=int_from_json, default=0)
     p_stream.add_argument("--depths", help="comma-separated truncation depths")
     p_stream.set_defaults(func=cmd_stream)
     return parser
@@ -225,8 +227,10 @@ def _print_refusal(exc: GroupEqError) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: a malformed integer option is a ParseError from its
+        # type, which argparse passes on rather than turning into a usage error.
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

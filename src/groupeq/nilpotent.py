@@ -28,6 +28,8 @@ from .abelian import (
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
+    element_from_json,
+    element_to_json,
     expect_json,
     int_from_json,
     ratio_from_json,
@@ -317,13 +319,9 @@ class AbelianHandle:
         return self.descriptor.random_element(rng)
 
     def element_to_json(self, g) -> list[str]:
-        from .abelian import element_to_json
-
         return element_to_json(g)
 
     def element_from_json(self, coords):
-        from .abelian import element_from_json
-
         return element_from_json(self.descriptor, coords)
 
     def to_json(self) -> dict:
@@ -374,18 +372,6 @@ def commutator(group, g, h):
     return group.multiply(
         group.multiply(group.invert(g), group.invert(h)), group.multiply(g, h)
     )
-
-
-def center_of(group):
-    """Center structure of a handle, or the list of central element indices
-    of a table group (computed by brute-force centralizer intersection)."""
-    if isinstance(group, TableGroup):
-        return [
-            g
-            for g in range(group.order)
-            if all(group.multiply(g, h) == group.multiply(h, g) for h in range(group.order))
-        ]
-    return group.center_group
 
 
 def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):

@@ -13,7 +13,7 @@ from .abelian import AbelianGroupDescriptor, Summand
 from .errors import VerificationFailed
 from .nilpotent import WordSystem
 from .systems import AbelianEquation, AbelianSystem, Const, EquationStream, GroupEquation, VarPow
-from .systems import is_nonsingular, is_unimodular
+from .systems import is_nonsingular, is_p_nonsingular, is_unimodular
 
 
 def rng_for(*key) -> random.Random:
@@ -88,9 +88,6 @@ def random_abelian_instance(seed_key: str, node_budget: int = 10**5):
     The search space |A|**vars stays within node_budget so the brute-force
     oracle can exhaust it.
     """
-    from .systems import is_p_nonsingular
-    from .intmath import factor_small
-
     rng = rng_for("abinst", seed_key)
     group = random_bounded_group(rng)
     size = group.size()
@@ -114,7 +111,7 @@ def random_abelian_instance(seed_key: str, node_budget: int = 10**5):
         return AbelianSystem(group, eqs, variables=variables), flavor
 
     if flavor == "filtered":
-        primes = [pp.p for pp in factor_small(group.period())]
+        primes = sorted({s.p for s in group.summands})
         while True:
             rows = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(neqs)]
             if all(is_p_nonsingular(rows, p)[0] for p in primes):

@@ -17,9 +17,8 @@ group each accepts:
 * ``solve_divisible`` — Prüfer and Q summands only.
 * ``solve_auto``      — any mix of the three kinds, but no integer line.
 
-``solve_p_group``, the paper's literal lifting through A ⊃ pA ⊃ p²A ⊃ ...,
-is kept as a cross-check of the engine; no route calls it.  ``EchelonState``
-feeds an equation stream to the same engine, one equation at a time.
+``EchelonState`` feeds an equation stream to the same engine, one equation
+at a time.
 
 The verification boundary is the public call: these four solvers and the
 nilpotent ones each check their answer against the input system exactly
@@ -41,11 +40,9 @@ from .abelian import (
     INTEGER,
     AbelianGroupDescriptor,
     GroupElement,
-    Summand,
     divide_exact,
     element_to_json,
     embed_at,
-    mod_p_quotient,
 )
 from .errors import (
     DependentRow,
@@ -260,67 +257,6 @@ def solve_mod_p(system: AbelianSystem) -> Solution:
     except MissingPrimeNonsingularity as exc:
         witness = {j: k for j, k in enumerate(exc.witness) if k}
         raise PSingular(exc.p, witness=witness) from exc
-    return _checked(system, assignment)
-
-
-def _p_subgroup(A: AbelianGroupDescriptor):
-    """pA of a bounded p-group, with the positions of the surviving summands."""
-    kept = [(i, s) for i, s in enumerate(A.summands) if s.e >= 2]
-    sub = AbelianGroupDescriptor(Summand.cyclic(s.p, s.e - 1) for _, s in kept)
-    return sub, tuple(i for i, _ in kept)
-
-
-def solve_p_group(system: AbelianSystem) -> Solution:
-    """Lift a solution through A ⊃ pA ⊃ p²A ⊃ ... for a bounded p-group A.
-
-    Round r solves the induced system over the current quotient mod p,
-    subtracts the lifted representatives, checks the residual right-hand
-    side is divisible by p (i.e. lies in p**(r+1) * A relative to the
-    original group), and descends into pA, whose period exponent is one
-    lower.  The answer is the accumulated sum of lifts p**r * c_r.
-    """
-    A = system.group
-    if any(s.kind != "cyclic" for s in A.summands):
-        raise UnsupportedGroup("solve_p_group needs a finite direct sum of cyclic p-groups")
-    if not A.summands:
-        return _checked(system, {v: A.zero() for v in system.variables})
-    p = A.summands[0].p
-    if any(s.p != p for s in A.summands):
-        raise UnsupportedGroup("solve_p_group needs a single prime")
-
-    acc = {v: [0] * len(A.summands) for v in system.variables}
-    work = A
-    positions = tuple(range(len(A.summands)))
-    rhs = [eq.rhs for eq in system.equations]
-    coeff_rows = [eq.coeffs for eq in system.equations]
-    r = 0
-    while work.summands:
-        quot = mod_p_quotient(work, p)
-        induced = AbelianSystem(
-            quot.group,
-            [AbelianEquation(row, quot.project(b)) for row, b in zip(coeff_rows, rhs)],
-            variables=system.variables,
-        )
-        base = solve_mod_p(induced)
-        lift = {v: quot.section(x) for v, x in base.assignment.items()}
-        for v in system.variables:
-            for i, c in zip(positions, lift[v].coords):
-                acc[v][i] += p**r * int(c)
-
-        sub, kept = _p_subgroup(work)
-        residual = []
-        for row, b in zip(coeff_rows, rhs):
-            for v, k in row.items():
-                b = b - lift[v].scale(k)
-            if any(int(c) % p for c in b.coords):
-                raise VerificationFailed("residual escaped pA during lifting")
-            residual.append(sub.element(int(b.coords[i]) // p for i in kept))
-        work = sub
-        positions = tuple(positions[i] for i in kept)
-        rhs = residual
-        r += 1
-
-    assignment = {v: A.element(acc[v]) for v in system.variables}
     return _checked(system, assignment)
 
 

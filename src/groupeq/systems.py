@@ -7,8 +7,7 @@ elements.  Elementary divisors, and with them unimodularity, come from a
 Smith form over the integers modulo the gcd of those minors, which covers
 all primes at once without factoring and without building transforms.  The
 divisible solver needs only _column_hermite, a column Hermite form
-M*V = [L | 0]; smith_normal_form (with its transforms) is the reference that
-the divisor tests compare against.
+M*V = [L | 0].
 Failed classifications return a witness: a nonzero integer combination of
 rows that vanishes (mod p where applicable).  Each elimination keeps its
 transform inside the matrix it reduces: the row eliminations work on [M | I],
@@ -271,91 +270,6 @@ def is_p_nonsingular(M, p: int):
     return False, work[r][n:]
 
 
-def smith_normal_form(M):
-    """U*M*V = D with D diagonal, d_1 | d_2 | ..., and det(U), det(V) = ±1."""
-    A = _dense(M)
-    k = len(A)
-    n = len(A[0]) if A else 0
-    U = [[int(i == j) for j in range(k)] for i in range(k)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(k, n):
-        # locate the absolutely smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        while True:
-            i, j = best
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            dirty = False
-            for i in range(t + 1, k):
-                if A[i][t] != 0:
-                    add_row(i, t, -(A[i][t] // A[t][t]))
-                    if A[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    add_col(j, t, -(A[t][j] // A[t][t]))
-                    if A[t][j] != 0:
-                        dirty = True
-            if dirty:
-                best = min(
-                    ((i, j) for i in range(t, k) for j in range(t, n) if A[i][j] != 0),
-                    key=lambda ij: abs(A[ij[0]][ij[1]]),
-                )
-                continue
-            # pivot isolated; enforce the divisibility chain
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, k)
-                    for j in range(t + 1, n)
-                    if A[i][j] % A[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-            best = (t, t)
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return U, A, V
-
-
 def _xgcd(a: int, b: int):
     """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -582,8 +496,8 @@ def parse_matrix_text(text: str) -> ExponentMatrix:
         row = []
         for col, tok in enumerate(stripped.split(), start=1):
             try:
-                row.append(int(tok))
-            except ValueError:
+                row.append(int_from_json(tok))
+            except (ParseError, ValueError):  # ValueError: over the digit limit
                 raise ParseError(f"bad integer {tok!r}", line=lineno, column=col) from None
         if width is None:
             width = len(row)

@@ -1,0 +1,230 @@
+"""Independent references that the tests check the library against.
+
+Each is a second, literal implementation of a job that the library does by
+another route, so an agreement between the two is evidence for both:
+
+* ``ModPQuotient`` / ``mod_p_quotient`` — A/pA with its projection and a
+  canonical section, and on it ``solve_p_group``, the paper's round-by-round
+  lifting through A ⊃ pA ⊃ p²A ⊃ ... for a bounded p-group, against the
+  library's unit-pivot echelon (``solve_bounded``).
+* ``smith_normal_form`` — U*M*V = D with both transforms, against the
+  divisors that ``elementary_divisors`` and ``classify_matrix`` compute
+  without transforms.
+* ``center_of`` — the center of a table group by brute-force centralizer
+  intersection, against the center each handle declares.
+
+None of them is part of the ``groupeq`` package, and nothing there calls them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from groupeq.abelian import (
+    CYCLIC,
+    INTEGER,
+    AbelianGroupDescriptor,
+    GroupElement,
+    Summand,
+)
+from groupeq.errors import DescriptorMismatch, UnsupportedGroup, VerificationFailed
+from groupeq.intmath import check_prime
+from groupeq.nilpotent import TableGroup
+from groupeq.solve_abelian import Solution, _checked, solve_mod_p
+from groupeq.systems import AbelianEquation, AbelianSystem, _dense
+
+
+@dataclass(frozen=True)
+class ModPQuotient:
+    """A/pA as a direct sum of Z/p with projection and a canonical section."""
+
+    group: AbelianGroupDescriptor
+    indices: tuple[int, ...]
+    source: AbelianGroupDescriptor
+    p: int
+
+    def project(self, a: GroupElement) -> GroupElement:
+        if a.descriptor != self.source:
+            raise DescriptorMismatch("element not in the source group")
+        return self.group.element(int(a.coords[i]) % self.p for i in self.indices)
+
+    def section(self, x: GroupElement) -> GroupElement:
+        """Canonical preimage: each Z/p class lifts to its residue representative."""
+        if x.descriptor != self.group:
+            raise DescriptorMismatch("element not in the quotient group")
+        coords = [0] * len(self.source.summands)
+        for i, c in zip(self.indices, x.coords):
+            coords[i] = int(c)
+        return self.source.element(coords)
+
+
+def mod_p_quotient(A: AbelianGroupDescriptor, p: int) -> ModPQuotient:
+    """Build A/pA.  Divisible summands and q-summands with q != p vanish
+    (multiplication by p is onto there); each surviving summand contributes Z/p."""
+    check_prime(p)
+    indices = []
+    for i, s in enumerate(A.summands):
+        if s.kind == CYCLIC and s.p == p:
+            indices.append(i)
+        elif s.kind == INTEGER:
+            indices.append(i)
+    quotient = AbelianGroupDescriptor([Summand.cyclic(p, 1)] * len(indices))
+    return ModPQuotient(quotient, tuple(indices), A, p)
+
+
+def _p_subgroup(A: AbelianGroupDescriptor):
+    """pA of a bounded p-group, with the positions of the surviving summands."""
+    kept = [(i, s) for i, s in enumerate(A.summands) if s.e >= 2]
+    sub = AbelianGroupDescriptor(Summand.cyclic(s.p, s.e - 1) for _, s in kept)
+    return sub, tuple(i for i, _ in kept)
+
+
+def solve_p_group(system: AbelianSystem) -> Solution:
+    """Lift a solution through A ⊃ pA ⊃ p²A ⊃ ... for a bounded p-group A.
+
+    Round r solves the induced system over the current quotient mod p,
+    subtracts the lifted representatives, checks the residual right-hand
+    side is divisible by p (i.e. lies in p**(r+1) * A relative to the
+    original group), and descends into pA, whose period exponent is one
+    lower.  The answer is the accumulated sum of lifts p**r * c_r.
+    """
+    A = system.group
+    if any(s.kind != "cyclic" for s in A.summands):
+        raise UnsupportedGroup("solve_p_group needs a finite direct sum of cyclic p-groups")
+    if not A.summands:
+        return _checked(system, {v: A.zero() for v in system.variables})
+    p = A.summands[0].p
+    if any(s.p != p for s in A.summands):
+        raise UnsupportedGroup("solve_p_group needs a single prime")
+
+    acc = {v: [0] * len(A.summands) for v in system.variables}
+    work = A
+    positions = tuple(range(len(A.summands)))
+    rhs = [eq.rhs for eq in system.equations]
+    coeff_rows = [eq.coeffs for eq in system.equations]
+    r = 0
+    while work.summands:
+        quot = mod_p_quotient(work, p)
+        induced = AbelianSystem(
+            quot.group,
+            [AbelianEquation(row, quot.project(b)) for row, b in zip(coeff_rows, rhs)],
+            variables=system.variables,
+        )
+        base = solve_mod_p(induced)
+        lift = {v: quot.section(x) for v, x in base.assignment.items()}
+        for v in system.variables:
+            for i, c in zip(positions, lift[v].coords):
+                acc[v][i] += p**r * int(c)
+
+        sub, kept = _p_subgroup(work)
+        residual = []
+        for row, b in zip(coeff_rows, rhs):
+            for v, k in row.items():
+                b = b - lift[v].scale(k)
+            if any(int(c) % p for c in b.coords):
+                raise VerificationFailed("residual escaped pA during lifting")
+            residual.append(sub.element(int(b.coords[i]) // p for i in kept))
+        work = sub
+        positions = tuple(positions[i] for i in kept)
+        rhs = residual
+        r += 1
+
+    assignment = {v: A.element(acc[v]) for v in system.variables}
+    return _checked(system, assignment)
+
+
+def smith_normal_form(M):
+    """U*M*V = D with D diagonal, d_1 | d_2 | ..., and det(U), det(V) = ±1."""
+    A = _dense(M)
+    k = len(A)
+    n = len(A[0]) if A else 0
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst, src, q):
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while t < min(k, n):
+        # locate the absolutely smallest nonzero entry in the trailing block
+        best = None
+        for i in range(t, k):
+            for j in range(t, n):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        while True:
+            i, j = best
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            dirty = False
+            for i in range(t + 1, k):
+                if A[i][t] != 0:
+                    add_row(i, t, -(A[i][t] // A[t][t]))
+                    if A[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    add_col(j, t, -(A[t][j] // A[t][t]))
+                    if A[t][j] != 0:
+                        dirty = True
+            if dirty:
+                best = min(
+                    ((i, j) for i in range(t, k) for j in range(t, n) if A[i][j] != 0),
+                    key=lambda ij: abs(A[ij[0]][ij[1]]),
+                )
+                continue
+            # pivot isolated; enforce the divisibility chain
+            offender = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, k)
+                    for j in range(t + 1, n)
+                    if A[i][j] % A[t][t] != 0
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(t, offender[0], 1)
+            best = (t, t)
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return U, A, V
+
+
+def center_of(group):
+    """Center structure of a handle, or the list of central element indices
+    of a table group (computed by brute-force centralizer intersection)."""
+    if isinstance(group, TableGroup):
+        return [
+            g
+            for g in range(group.order)
+            if all(group.multiply(g, h) == group.multiply(h, g) for h in range(group.order))
+        ]
+    return group.center_group

