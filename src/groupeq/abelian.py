@@ -7,11 +7,13 @@ p-power denominator, rationals in lowest terms) make equality decidable.
 They are enforced in one place, ``AbelianGroupDescriptor.element``.  A
 coordinate already in canonical form passes through unchanged: a reduced
 residue reduces to itself, and a ``Fraction`` on a rational line is kept,
-not copied.
+not copied.  Sums are formed in one place, ``AbelianGroupDescriptor.combine``,
+which canonicalises a whole linear combination once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -137,6 +139,25 @@ class AbelianGroupDescriptor:
     def zero(self) -> GroupElement:
         return self.element([0] * len(self.summands))
 
+    def combine(self, terms) -> GroupElement:
+        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, canonicalised once;
+        Prüfer and Q coordinates are summed as integer numerators over the lcm of
+        their denominators.  DescriptorMismatch if a g lies in another group."""
+        terms = list(terms)
+        for g, _ in terms:
+            if g.descriptor is not self and g.descriptor != self:
+                raise DescriptorMismatch("elements live in different groups")
+        sums = []
+        for i, s in enumerate(self.summands):
+            if s.is_divisible:
+                column = [(n, g.coords[i]) for g, n in terms]
+                d = math.lcm(*(c.denominator for _, c in column))
+                num = sum(n * c.numerator * (d // c.denominator) for n, c in column)
+                sums.append(Fraction(num, d))
+            else:
+                sums.append(sum(n * g.coords[i] for g, n in terms))
+        return self.element(sums)
+
     def generator(self, i: int) -> GroupElement:
         """The element with coordinate 1 in summand i and 0 elsewhere."""
         coords = [0] * len(self.summands)
@@ -176,8 +197,6 @@ class AbelianGroupDescriptor:
         """Enumerate a finite group in coordinate-lattice order."""
         if not self.is_bounded:
             raise NotPeriodic("cannot enumerate an infinite group")
-        import itertools
-
         for coords in itertools.product(*(range(s.modulus) for s in self.summands)):
             yield GroupElement(self, coords)
 
@@ -231,23 +250,17 @@ class GroupElement:
     descriptor: AbelianGroupDescriptor
     coords: tuple
 
-    def _check_same(self, other: GroupElement):
-        if self.descriptor != other.descriptor:
-            raise DescriptorMismatch("elements live in different groups")
-
     def __add__(self, other: GroupElement) -> GroupElement:
-        self._check_same(other)
-        return self.descriptor.element(a + b for a, b in zip(self.coords, other.coords))
+        return self.descriptor.combine(((self, 1), (other, 1)))
 
     def __neg__(self) -> GroupElement:
-        return self.descriptor.element(-c for c in self.coords)
+        return self.descriptor.combine(((self, -1),))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
-        self._check_same(other)
-        return self.descriptor.element(a - b for a, b in zip(self.coords, other.coords))
+        return self.descriptor.combine(((self, 1), (other, -1)))
 
     def scale(self, k: int) -> GroupElement:
-        return self.descriptor.element(k * c for c in self.coords)
+        return self.descriptor.combine(((self, k),))
 
     def __rmul__(self, k: int) -> GroupElement:
         if not isinstance(k, int):
@@ -408,7 +421,11 @@ def int_from_json(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # over the interpreter's int-from-string digit limit
+            digits = len(value.lstrip("+-"))
+            raise ParseError(f"an integer of {digits} digits exceeds the digit limit") from None
     raise ParseError(f"expected an integer, got {value!r}")
 
 

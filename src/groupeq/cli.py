@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -131,6 +132,9 @@ def cmd_demo(args) -> int:
     depth = args.depth
     if depth < 0:
         raise ParseError(f"--depth must be >= 0, got {depth}")
+    for option, family in (("p", "pbad"), ("primes", "bad"), ("scan", "zbad")):
+        if getattr(args, option) is not None and args.name != family:
+            raise ParseError(f"--{option} applies only to demo {family}")
     reports = []
     if args.name == "pbad":
         p = check_prime(2 if args.p is None else args.p)
@@ -146,11 +150,11 @@ def cmd_demo(args) -> int:
             raise ParseError(f"--depth must be at most {len(primes)}, the number of primes")
         reports = [counterexamples.bad_support_check(primes, n) for n in range(1, depth + 1)]
     elif args.name == "zbad":
-        if args.scan < 0:
-            raise ParseError(f"--scan must be >= 0, got {args.scan}")
+        scan = 10**6 if args.scan is None else args.scan
+        if scan < 0:
+            raise ParseError(f"--scan must be >= 0, got {scan}")
         reports = [
-            counterexamples.zbad_bound_check(m, brute_limit=args.scan)
-            for m in range(1, depth + 1)
+            counterexamples.zbad_bound_check(m, brute_limit=scan) for m in range(1, depth + 1)
         ]
     with _all_digits():
         if args.format == "json":
@@ -185,7 +189,10 @@ def cmd_stream(args) -> int:
     return 0 if all(r["verified"] for r in results) else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse fills a new
+    namespace, so no option carries over from one call of ``main`` to the next."""
     parser = argparse.ArgumentParser(
         prog="groupeq",
         description="Exact classification and solving of equation systems over groups",
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--depth", type=int_from_json, default=5)
     p_demo.add_argument("--p", type=int_from_json, help="prime for the pbad family")
     p_demo.add_argument("--primes", help="comma-separated primes for the bad family")
-    p_demo.add_argument("--scan", type=int_from_json, default=10**6, help="zbad brute-force scan limit")
+    p_demo.add_argument("--scan", type=int_from_json, help="zbad scan limit (default 10**6)")
     p_demo.set_defaults(func=cmd_demo)
 
     p_stream = sub.add_parser("stream", help="seeded unimodular stream ingestion check")

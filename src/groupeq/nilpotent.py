@@ -36,7 +36,6 @@ from .abelian import (
 )
 from .errors import (
     CentralityAssertionFailed,
-    DescriptorMismatch,
     MissingVariable,
     NotUnimodular,
     ParseError,
@@ -290,15 +289,8 @@ class AbelianHandle:
         return g.scale(n)
 
     def evaluate(self, terms) -> GroupElement:
-        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, canonicalised once."""
-        D = self.descriptor
-        sums = [0] * len(D.summands)
-        for g, n in terms:
-            if g.descriptor != D:
-                raise DescriptorMismatch("elements live in different groups")
-            for i, c in enumerate(g.coords):
-                sums[i] += n * c
-        return D.element(sums)
+        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, by ``combine``."""
+        return self.descriptor.combine(terms)
 
     def equal(self, g, h) -> bool:
         return g == h

@@ -129,7 +129,7 @@ class _ComponentState:
         its pivot to 1; DependentRow if no coefficient is a unit."""
         m = self.modulus
         row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
-        rhs = self.sub.element(eq.rhs.coords[i] for i in self.indices)
+        terms = [(self.sub.element(eq.rhs.coords[i] for i in self.indices), 1)]
         for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
@@ -139,14 +139,14 @@ class _ComponentState:
                         row[v] = nk
                     else:
                         row.pop(v, None)
-                rhs = rhs - prhs.scale(c)
+                terms.append((prhs, -c))
         units = [v for v, k in row.items() if k % self.p != 0]
         if not units:
             raise DependentRow(self.p)
         pv = min(units)
         inv = inv_mod(row[pv], m)
         row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
-        return pv, row, rhs.scale(inv)
+        return pv, row, self.sub.combine((g, inv * n) for g, n in terms)
 
     def commit(self, staged) -> None:
         """Append a row staged by ``reduce``; no stored row changes."""
@@ -157,10 +157,8 @@ class _ComponentState:
         free variables 0: a row holds no earlier row's pivot."""
         vals: dict[str, GroupElement] = {}
         for pv, row, rhs in reversed(self.rows):
-            for v, k in row.items():
-                if v in vals:
-                    rhs = rhs - vals[v].scale(k)
-            vals[pv] = rhs
+            terms = [(vals[v], -k) for v, k in row.items() if v in vals]
+            vals[pv] = self.sub.combine([(rhs, 1), *terms]) if terms else rhs
         return vals
 
 
@@ -233,17 +231,13 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
         raise Singular(witness=is_nonsingular(rows)[1]) from None
     y = []
     for i, eq in enumerate(system.equations):
-        acc = D.element(eq.rhs.coords[j] for j in indices)
-        for j in range(i):
-            if L[i][j]:
-                acc = acc - y[j].scale(L[i][j])
-        y.append(divide_exact(abs(L[i][i]), acc if L[i][i] > 0 else -acc))
+        sign = 1 if L[i][i] > 0 else -1
+        rhs = D.element(eq.rhs.coords[j] for j in indices)
+        terms = [(rhs, sign), *((y[j], -sign * L[i][j]) for j in range(i) if L[i][j])]
+        y.append(divide_exact(abs(L[i][i]), D.combine(terms)))
     for r, var in enumerate(matrix.columns):
-        acc = D.zero()
-        for j, yj in enumerate(y):
-            if V[r][j]:
-                acc = acc + yj.scale(V[r][j])
-        assignment[var] = assignment[var] + embed_at(A, indices, acc)
+        x = D.combine((yj, V[r][j]) for j, yj in enumerate(y) if V[r][j])
+        assignment[var] = assignment[var] + embed_at(A, indices, x)
     return assignment
 
 

@@ -462,14 +462,11 @@ def _column_hermite(rows: list[list[int]]):
 def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
     """True iff every equation of the (truncated) system is satisfied exactly."""
     if isinstance(system, AbelianSystem):
-        zero = system.group.zero()
         for eq in system.equations:
-            acc = zero
-            for v, k in eq.coeffs.items():
+            for v in eq.coeffs:
                 if v not in assignment:
                     raise MissingVariable(f"assignment lacks variable {v!r}")
-                acc = acc + assignment[v].scale(k)
-            if acc != eq.rhs:
+            if system.group.combine((assignment[v], k) for v, k in eq.coeffs.items()) != eq.rhs:
                 return False
         return True
     from .nilpotent import WordSystem, evaluate_word  # deferred: avoids an import cycle
@@ -497,7 +494,7 @@ def parse_matrix_text(text: str) -> ExponentMatrix:
         for col, tok in enumerate(stripped.split(), start=1):
             try:
                 row.append(int_from_json(tok))
-            except (ParseError, ValueError):  # ValueError: over the digit limit
+            except ParseError:
                 raise ParseError(f"bad integer {tok!r}", line=lineno, column=col) from None
         if width is None:
             width = len(row)

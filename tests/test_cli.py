@@ -387,6 +387,12 @@ def test_demo_json_deterministic(capsys):
         pytest.param(("demo", "pbad", "--p", "\u0663"), id="pbad-p"),
         pytest.param(("demo", "bad", "--primes", "1_1,3", "--depth", "1"), id="bad-primes"),
         pytest.param(("demo", "zbad", "--scan", " 10"), id="zbad-scan-space"),
+        # an option of another family is refused, not ignored
+        pytest.param(("demo", "pbad", "--primes", "1_1", "--depth", "2"), id="pbad-primes"),
+        pytest.param(("demo", "zbad", "--p", "4", "--depth", "1", "--scan", "10"), id="zbad-p"),
+        pytest.param(("demo", "bad", "--p", "4", "--scan", "-1", "--depth", "1"), id="bad-p-scan"),
+        # over Python's int-from-string digit limit: named by its length, not echoed
+        pytest.param(("demo", "pbad", "--depth", "1" * 5000), id="pbad-depth-over-digit-limit"),
     ],
 )
 def test_negative_depth_exit_2(files, capsys, argv):
@@ -395,6 +401,7 @@ def test_negative_depth_exit_2(files, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "ParseError" in err
+    assert err.startswith("ParseError:") and len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -468,6 +475,13 @@ def test_closed_stdout_stops_quietly(argv):
         os.close(write_end)
     assert b"Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_demo_options_do_not_carry_over_between_calls(capsys):
+    code, out, _ = run(capsys, "demo", "pbad", "--p", "3", "--depth", "2")
+    assert code == 0 and out.splitlines()[1].split() == ["2", "order_of_x1", "9", "9"]
+    code, out, _ = run(capsys, "demo", "pbad", "--depth", "2")
+    assert code == 0 and out.splitlines()[1].split() == ["2", "order_of_x1", "4", "4"]
 
 
 def test_zero_depth_is_valid(files, capsys):

@@ -6,9 +6,10 @@ at most 64, divisible groups of at most three summands, and systems of at
 most three equations in at most three variables.  The arithmetic tests
 compare abelian and Heisenberg elements with a reference that canonicalises
 every coordinate from scratch: ``Fraction(...)`` on Q, the fractional part
-on a Prüfer group, ``% p**e`` on Z/p**e.  The word tests compare
-``evaluate_word``, which collects a word in one pass, with a literal
-left-to-right fold of ``multiply`` and ``power``.
+on a Prüfer group, ``% p**e`` on Z/p**e.  ``verify_solution`` is compared
+with each equation's sum of k*x - rhs canonicalised the same way.  The word
+tests compare ``evaluate_word``, which collects a word in one pass, with a
+literal left-to-right fold of ``multiply`` and ``power``.
 """
 
 import random
@@ -34,6 +35,7 @@ from groupeq.systems import (
     GroupEquation,
     VarPow,
     is_p_nonsingular,
+    verify_solution,
 )
 
 SMALL = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -161,12 +163,18 @@ def test_element_arithmetic_matches_coordinatewise_reference(case, k):
         "a - b": (a - b, [x - y for x, y in zip(a.coords, b.coords)]),
         "-a": (-a, [-x for x in a.coords]),
         "k*a": (k * a, [k * x for x in a.coords]),
+        "combine": (
+            group.combine([(a, k), (b, -3), (a, 1)]),
+            [k * x - 3 * y + x for x, y in zip(a.coords, b.coords)],
+        ),
+        "combine []": (group.combine([]), [0] * len(group.summands)),
     }
     for name, (result, coords) in raw.items():
         assert result.coords == group.element(coords).coords, name
         assert result.coords == tuple(map(reference_coord, group.summands, coords)), name
         assert all(map(is_canonical_type, group.summands, result.coords)), name
     assert a - b == a + (-b)
+    assert group.combine([]) == group.zero()
 
 
 @SMALL
@@ -236,6 +244,54 @@ def test_heisenberg_arithmetic_matches_reference(name, scalars, n):
     zero = element(0, 0, 0)
     assert (group.center_recognize(g) is None) == (g[:2] != zero[:2])
     assert group.center_recognize(group.element(0, 0, scalars[2])).coords == (g[2],)
+
+
+# -- verification of abelian systems ---------------------------------------------
+
+mixed_groups = st.lists(st.sampled_from(MIXED), min_size=1, max_size=4).map(AbelianGroupDescriptor)
+
+
+def reference_holds(system, assignment) -> bool:
+    """Every equation's sum of k*x - rhs, canonicalised from scratch, is 0."""
+    for eq in system.equations:
+        for i, s in enumerate(system.group.summands):
+            raw = sum(k * assignment[v].coords[i] for v, k in eq.coeffs.items()) - eq.rhs.coords[i]
+            if reference_coord(s, raw) != 0:
+                return False
+    return True
+
+
+@SMALL
+@given(systems(mixed_groups), st.integers(0, 2**16))
+def test_verify_solution_matches_coordinatewise_reference(case, seed):
+    system, _ = case
+    group = system.group
+    rng = random.Random(seed)
+    assignment = {v: group.random_element(rng) for v in system.variables}
+    assert verify_solution(system, assignment) == reference_holds(system, assignment)
+    # right-hand sides built coordinate-wise from the assignment, so it holds
+    built = AbelianSystem(
+        group,
+        [
+            AbelianEquation(
+                eq.coeffs,
+                group.element(
+                    sum(k * assignment[v].coords[i] for v, k in eq.coeffs.items())
+                    for i in range(len(group.summands))
+                ),
+            )
+            for eq in system.equations
+        ],
+    )
+    assert reference_holds(built, assignment)
+    assert verify_solution(built, assignment)
+    used = sorted(built.equations[0].variables())
+    if used:
+        with pytest.raises(MissingVariable):
+            verify_solution(built, {v: g for v, g in assignment.items() if v != used[0]})
+        other = AbelianGroupDescriptor(group.summands + (Summand.integer(),)).zero()
+        with pytest.raises(DescriptorMismatch):
+            verify_solution(built, {**assignment, used[0]: other})
 
 
 # -- word evaluation --------------------------------------------------------------
