@@ -4,11 +4,14 @@ groups, rational lines and integer lines, with exact element arithmetic.
 Coordinates are positional: element i lives in summand i of the descriptor.
 Canonical coordinate forms (residue reduced, Prüfer value in [0,1) with a
 p-power denominator, rationals in lowest terms) make equality decidable.
-They are enforced in one place, ``AbelianGroupDescriptor.element``.  A
-coordinate already in canonical form passes through unchanged: a reduced
-residue reduces to itself, and a ``Fraction`` on a rational line is kept,
-not copied.  Sums are formed in one place, ``AbelianGroupDescriptor.combine``,
-which canonicalises a whole linear combination once.
+They are enforced in one place, ``Summand.canon``, which
+``AbelianGroupDescriptor.element`` applies to each coordinate and a Heisenberg
+group in ``nilpotent`` to each of its scalars.  A coordinate already in
+canonical form passes through unchanged: a reduced residue reduces to itself,
+and a ``Fraction`` on a rational line is kept, not copied.  Sums are formed in
+one place, ``AbelianGroupDescriptor.combine``, which canonicalises a whole
+linear combination once.  Canonical coordinates are written as JSON text in one
+place too, ``_coords_to_json``: a Fraction as "num/den", an int in decimal.
 """
 
 from __future__ import annotations
@@ -88,29 +91,29 @@ class Summand:
     def is_torsion(self) -> bool:
         return self.kind in (CYCLIC, PRUFER)
 
+    def canon(self, c):
+        """Coordinate c in its canonical form; a canonical c comes back unchanged."""
+        if self.kind == CYCLIC:
+            return int(c) % self.modulus
+        if self.kind == PRUFER:
+            f = Fraction(c)
+            f = Fraction(f.numerator % f.denominator, f.denominator)
+            d = f.denominator
+            while d % self.p == 0:
+                d //= self.p
+            if d != 1:
+                raise ValueError(f"{c} is not a valid Prufer({self.p}) coordinate")
+            return f
+        if self.kind == RATIONAL:
+            return c if type(c) is Fraction else Fraction(c)
+        return int(c)
+
     def __repr__(self) -> str:
         if self.kind == CYCLIC:
             return f"Z/{self.modulus}"
         if self.kind == PRUFER:
             return f"Prufer({self.p})"
         return "Q" if self.kind == RATIONAL else "Z"
-
-
-def _canon_coord(s: Summand, c):
-    if s.kind == CYCLIC:
-        return int(c) % s.modulus
-    if s.kind == PRUFER:
-        f = Fraction(c)
-        f = Fraction(f.numerator % f.denominator, f.denominator)
-        d = f.denominator
-        while d % s.p == 0:
-            d //= s.p
-        if d != 1:
-            raise ValueError(f"{c} is not a valid Prufer({s.p}) coordinate")
-        return f
-    if s.kind == RATIONAL:
-        return c if type(c) is Fraction else Fraction(c)
-    return int(c)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class AbelianGroupDescriptor:
             raise DescriptorMismatch(
                 f"expected {len(self.summands)} coordinates, got {len(coords)}"
             )
-        return GroupElement(self, tuple(_canon_coord(s, c) for s, c in zip(self.summands, coords)))
+        return GroupElement(self, tuple(s.canon(c) for s, c in zip(self.summands, coords)))
 
     def zero(self) -> GroupElement:
         return self.element([0] * len(self.summands))
@@ -212,7 +215,7 @@ class AbelianGroupDescriptor:
                 coords.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             else:
                 coords.append(rng.randint(-9, 9))
-        return self.element(coords)
+        return GroupElement(self, tuple(coords))  # each sample is canonical as drawn
 
     # -- JSON wire format ---------------------------------------------------
 
@@ -391,14 +394,14 @@ def classify(A: AbelianGroupDescriptor) -> Classification:
 # -- JSON element encoding ---------------------------------------------------
 
 
+def _coords_to_json(coords) -> list[str]:
+    """Canonical coordinates as JSON text: a Fraction as "num/den", an int in
+    decimal.  Shared by the abelian, Heisenberg and solution encoders."""
+    return [f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c) for c in coords]
+
+
 def element_to_json(a: GroupElement) -> list[str]:
-    out = []
-    for s, c in zip(a.descriptor.summands, a.coords):
-        if s.kind in (PRUFER, RATIONAL):
-            out.append(f"{c.numerator}/{c.denominator}")
-        else:
-            out.append(str(int(c)))
-    return out
+    return _coords_to_json(a.coords)
 
 
 _INTEGER_TEXT = re.compile(r"[-+]?[0-9]+")

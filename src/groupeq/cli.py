@@ -73,16 +73,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
-    if args.matrix:
+    if (args.matrix is None) == (args.system is None):
+        raise ParseError("classify needs exactly one of --matrix and --system")
+    if args.matrix is not None:
         with open(args.matrix) as fh:
             matrix = parse_matrix_text(fh.read())
-    elif args.system:
-        system = abelian_system_from_json(_load_json_file(args.system))
-        matrix = system.matrix()
     else:
-        print("classify needs --matrix or --system", file=sys.stderr)
-        return 2
-    primes = _parse_int_list(args.primes) if args.primes else []
+        matrix = abelian_system_from_json(_load_json_file(args.system)).matrix()
+    primes = _parse_int_list(args.primes) if args.primes is not None else []
     report = classify_matrix(matrix, primes)
     with _all_digits():
         if args.format == "json":
@@ -145,7 +143,7 @@ def cmd_demo(args) -> int:
             Summand.cyclic(p, 2 ** min(depth, MAX_MODULUS_BITS.bit_length() + 1) - 1)
         reports = [counterexamples.pbad_growth(p, j) for j in range(2, depth + 1)]
     elif args.name == "bad":
-        primes = _parse_int_list(args.primes) if args.primes else [2, 3, 5, 7, 11, 13]
+        primes = _parse_int_list(args.primes) if args.primes is not None else [2, 3, 5, 7, 11, 13]
         if depth > len(primes):
             raise ParseError(f"--depth must be at most {len(primes)}, the number of primes")
         reports = [counterexamples.bad_support_check(primes, n) for n in range(1, depth + 1)]
@@ -168,7 +166,7 @@ def cmd_demo(args) -> int:
 
 def cmd_stream(args) -> int:
     group = AbelianGroupDescriptor.from_json(_load_json_file(args.group))
-    depths = sorted(set(_parse_int_list(args.depths))) if args.depths else [10, 50]
+    depths = sorted(set(_parse_int_list(args.depths))) if args.depths is not None else [10, 50]
     if any(d < 0 for d in depths):
         raise ParseError(f"--depths must be >= 0, got {depths[0]}")
     stream = random_unimodular_stream(group, args.seed)

@@ -9,6 +9,13 @@ handle may also evaluate a whole word at once (``evaluate``); the Heisenberg
 groups and the abelian handles do, in collected form, with one
 canonicalisation per word.  Table groups fold the word left to right.
 
+A Heisenberg group's scalar ring is a cyclic or rational ``Summand``: its
+scalars are canonicalised by ``Summand.canon``, and its triples are
+enumerated, sampled and read from JSON by the abelian group ring**3, so the
+abelian canonical forms and codec are the only ones.  Every handle reads and
+writes its own elements (``element_from_json``, ``element_to_json``), a table
+group's as indices in range(order), so one word-system codec serves them all.
+
 The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
 coefficient product b_i landed in the center, and finish with one abelian
@@ -20,19 +27,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .abelian import (
+    CYCLIC,
+    RATIONAL,
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
+    _coords_to_json,
     element_from_json,
     element_to_json,
     expect_json,
     int_from_json,
-    ratio_from_json,
 )
 from .errors import (
     CentralityAssertionFailed,
@@ -44,7 +51,7 @@ from .errors import (
     UnsupportedGroup,
     VerificationFailed,
 )
-from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime
+from .intmath import INFINITE
 from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
 from .systems import (
     AbelianEquation,
@@ -80,77 +87,39 @@ class WordSystem:
         return ExponentMatrix.from_equations(self.equations, self.variables)
 
 
-# -- rings behind the Heisenberg family -----------------------------------------
-
-
-@dataclass(frozen=True)
-class ModRing:
-    """Residues modulo p**e."""
-
-    p: int
-    e: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.e < 1:
-            raise ValueError("exponent must be >= 1")
-        if self.e * (self.p - 1).bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"ring Z/{self.p}**e exceeds {MAX_MODULUS_BITS} bits")
-
-    @cached_property
-    def modulus(self) -> int:
-        return self.p**self.e
-
-    def canon(self, x):
-        return int(x) % self.modulus
-
-    def descriptor_summand(self) -> Summand:
-        return Summand.cyclic(self.p, self.e)
-
-    def to_json(self) -> dict:
-        return {"kind": "mod", "p": self.p, "e": self.e}
-
-
-@dataclass(frozen=True)
-class RationalRing:
-    def canon(self, x):
-        return x if type(x) is Fraction else Fraction(x)
-
-    def descriptor_summand(self) -> Summand:
-        return Summand.rational()
-
-    def to_json(self) -> dict:
-        return {"kind": "q"}
+# -- Heisenberg groups and abelian handles ---------------------------------------
 
 
 class HeisenbergGroup:
     """Triples (a, b, c) over a ring with (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b').
 
+    The ring is a ``Summand``, Z/p**e or Q, and a scalar is a coordinate of it.
     The center is {(0,0,c)}, isomorphic to the additive ring; the quotient
     by the center is the abelian group of pairs (a, b).
     """
 
     nilpotency_class = 2
 
-    def __init__(self, ring):
+    def __init__(self, ring: Summand):
+        if ring.kind not in (CYCLIC, RATIONAL):
+            raise UnsupportedGroup(f"a Heisenberg group needs a ring Z/p**e or Q, got {ring!r}")
         self.ring = ring
         self._zero = ring.canon(0)
-        self.center_group = AbelianGroupDescriptor([ring.descriptor_summand()])
-        self._quotient_descriptor = AbelianGroupDescriptor([ring.descriptor_summand()] * 2)
+        self._triples = AbelianGroupDescriptor([ring] * 3)
+        self.center_group = AbelianGroupDescriptor([ring])
+        self._quotient_descriptor = AbelianGroupDescriptor([ring] * 2)
         self.quotient = AbelianHandle(self._quotient_descriptor)
-        if isinstance(ring, ModRing):
-            # (a,b,c)**(p**e) has third coordinate binom(p**e, 2)*a*b, which
-            # vanishes mod p**e only for odd p; for p = 2 the period doubles.
-            self.period_bound = ring.modulus if ring.p != 2 else 2 * ring.modulus
-        else:
-            self.period_bound = INFINITE
+        # (a,b,c)**(p**e) has third coordinate binom(p**e, 2)*a*b, which
+        # vanishes mod p**e only for odd p; for p = 2 the period doubles.
+        self.period_bound = 2 * ring.modulus if ring.p == 2 else self._triples.period()
 
     def identity(self):
         z = self._zero
         return (z, z, z)
 
     def element(self, a, b, c):
-        return (self.ring.canon(a), self.ring.canon(b), self.ring.canon(c))
+        canon = self.ring.canon
+        return (canon(a), canon(b), canon(c))
 
     def multiply(self, g, h):
         return self.element(g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
@@ -173,7 +142,7 @@ class HeisenbergGroup:
         of its denominators, so the sums are ints and Fractions are built only
         at the end.
         """
-        if isinstance(self.ring, ModRing):
+        if self.ring.kind == CYCLIC:
             x = y = z = 0
             for (a, b, c), n in terms:
                 nb = n * b
@@ -221,47 +190,31 @@ class HeisenbergGroup:
         """Coset representative choice: (a, b) lifts to (a, b, 0)."""
         return self.element(q.coords[0], q.coords[1], 0)
 
-    # -- enumeration and encoding -------------------------------------------
+    # -- enumeration and encoding: those of the abelian group ring**3 ---------
 
     def elements(self):
-        if not isinstance(self.ring, ModRing):
-            raise UnsupportedGroup("cannot enumerate an infinite group")
-        m = self.ring.modulus
-        for a, b, c in itertools.product(range(m), repeat=3):
-            yield (a, b, c)
+        return (g.coords for g in self._triples.elements())
 
     def size(self):
-        return self.ring.modulus**3 if isinstance(self.ring, ModRing) else INFINITE
+        return self._triples.size()
 
     def random_element(self, rng):
         """Uniform over Z/p**e; over Q, coordinates a/b with |a| <= 9, 1 <= b <= 9."""
-        if isinstance(self.ring, ModRing):
-            m = self.ring.modulus
-            return (rng.randrange(m), rng.randrange(m), rng.randrange(m))
-        return self.element(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+        return self._triples.random_element(rng).coords
 
     def element_to_json(self, g) -> list[str]:
-        if isinstance(self.ring, ModRing):
-            return [str(x) for x in g]
-        return [f"{x.numerator}/{x.denominator}" for x in g]
+        return _coords_to_json(g)
 
     def element_from_json(self, coords) -> tuple:
-        if not isinstance(coords, list) or len(coords) != 3:
-            raise ParseError(f"expected a list of 3 coordinates, got {coords!r}")
-        parse = ratio_from_json if isinstance(self.ring, RationalRing) else int_from_json
-        return self.element(*map(parse, coords))
+        return element_from_json(self._triples, coords).coords
 
     def to_json(self) -> dict:
-        return {"kind": "heisenberg", "ring": self.ring.to_json()}
+        r = self.ring
+        ring = {"kind": "mod", "p": r.p, "e": r.e} if r.kind == CYCLIC else {"kind": "q"}
+        return {"kind": "heisenberg", "ring": ring}
 
     def __repr__(self) -> str:
-        if isinstance(self.ring, ModRing):
-            return f"Heisenberg(Z/{self.ring.modulus})"
-        return "Heisenberg(Q)"
+        return f"Heisenberg({self.ring!r})"
 
 
 class AbelianHandle:
@@ -324,11 +277,11 @@ class AbelianHandle:
 
 
 def heisenberg_mod(p: int, e: int = 1) -> HeisenbergGroup:
-    return HeisenbergGroup(ModRing(p, e))
+    return HeisenbergGroup(Summand.cyclic(p, e))
 
 
 def heisenberg_q() -> HeisenbergGroup:
-    return HeisenbergGroup(RationalRing())
+    return HeisenbergGroup(Summand.rational())
 
 
 # -- word evaluation and commutators ---------------------------------------------
@@ -373,7 +326,7 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
     divide by n and the third absorbs the accumulated cross term
     binom(n, 2) * a'* b'.  Verified by powering before returning.
     """
-    if not isinstance(group.ring, RationalRing):
+    if group.ring.kind != RATIONAL:
         raise UnsupportedGroup("nth roots in closed form need the rational Heisenberg group")
     if n < 1:
         raise ValueError("root index must be >= 1")
@@ -544,6 +497,15 @@ class TableGroup:
             raise ValueError("table was not built from a handle")
         return self.source_elements.index(element)
 
+    def element_to_json(self, g: int) -> int:
+        return g
+
+    def element_from_json(self, value) -> int:
+        index = int_from_json(value)
+        if not 0 <= index < self.order:
+            raise ParseError(f"a table constant must lie in range({self.order})")
+        return index
+
     def to_json(self) -> dict:
         return {"kind": "table", "table": [row[:] for row in self.table]}
 
@@ -600,11 +562,16 @@ def group_from_json(obj: dict):
     kind = obj.get("kind", "heisenberg")
     if kind == "heisenberg":
         ring = expect_json(obj["ring"], dict, "a ring")
-        if ring["kind"] == "mod":
-            return heisenberg_mod(int_from_json(ring["p"]), int_from_json(ring.get("e", 1)))
-        if ring["kind"] == "q":
+        ring_kind = ring["kind"]
+        if ring_kind not in ("mod", "q"):
+            raise ValueError(f"unknown ring kind {ring_kind!r}")
+        # a mod ring is {"kind", "p"} with an optional "e" (default 1)
+        fields = {"kind", "p", "e"} if ring_kind == "mod" else {"kind"}
+        if not set(ring) <= fields:
+            raise ParseError(f"a {ring_kind} ring has the fields {sorted(fields)}, got {ring!r}")
+        if ring_kind == "q":
             return heisenberg_q()
-        raise ValueError(f"unknown ring kind {ring['kind']!r}")
+        return heisenberg_mod(int_from_json(ring["p"]), int_from_json(ring.get("e", 1)))
     if kind == "table":
         rows = expect_json(obj["table"], list, "a table")
         return TableGroup(
@@ -624,14 +591,7 @@ def word_system_from_json(obj: dict, group) -> WordSystem:
         for lit in expect_json(eq["word"], list, "a word"):
             lit = expect_json(lit, dict, "a literal")
             if "const" in lit:
-                value = lit["const"]
-                if isinstance(group, TableGroup):
-                    index = int_from_json(value)
-                    if not 0 <= index < group.order:
-                        raise ParseError(f"a table constant must lie in range({group.order})")
-                    word.append(Const(index))
-                else:
-                    word.append(Const(group.element_from_json(value)))
+                word.append(Const(group.element_from_json(lit["const"])))
             else:
                 var = expect_json(lit["var"], str, "a variable")
                 word.append(VarPow(var, int_from_json(lit["exp"])))
@@ -646,10 +606,7 @@ def word_system_to_json(system: WordSystem) -> dict:
         word = []
         for lit in eq.word:
             if isinstance(lit, Const):
-                if isinstance(G, TableGroup):
-                    word.append({"const": lit.value})
-                else:
-                    word.append({"const": G.element_to_json(lit.value)})
+                word.append({"const": G.element_to_json(lit.value)})
             else:
                 word.append({"var": lit.var, "exp": lit.exp})
         eqs.append({"word": word})

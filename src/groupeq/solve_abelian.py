@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import (
     CYCLIC,
     INTEGER,
     AbelianGroupDescriptor,
     GroupElement,
+    _coords_to_json,
     divide_exact,
     element_to_json,
     embed_at,
@@ -70,10 +70,7 @@ def _encode_value(value):
     if isinstance(value, GroupElement):
         return element_to_json(value)
     if isinstance(value, tuple):  # Heisenberg triple of ring scalars
-        return [
-            f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c)
-            for c in value
-        ]
+        return _coords_to_json(value)
     return value  # table group index
 
 

@@ -64,6 +64,11 @@ def test_classify_bad_family_truncation(files, capsys):
         pytest.param("1 2\n3 4\n", ("--primes", "1_1,3"), "'1_1'", id="primes-underscore"),
         pytest.param("1 2\n3 4\n", ("--primes", "2,\u0663"), "'\u0663'", id="primes-arabic-indic-digit"),
         pytest.param("1 2\n3 4\n", ("--primes", "2,,3"), "''", id="primes-empty-item"),
+        # an empty list is a malformed list, not an absent option
+        pytest.param("1 2\n3 4\n", ("--primes", ""), "''", id="primes-empty"),
+        pytest.param(
+            "1 2\n3 4\n", ("--system", "s.json"), "exactly one of", id="matrix-and-system"
+        ),
     ],
 )
 def test_classify_parse_error_exit_2(files, capsys, text, options, where):
@@ -71,6 +76,12 @@ def test_classify_parse_error_exit_2(files, capsys, text, options, where):
     code, _, err = run(capsys, "classify", "--matrix", path, *options)
     assert code == 2
     assert where in err
+
+
+def test_classify_without_input_exit_2(capsys):
+    code, out, err = run(capsys, "classify")
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "exactly one of" in err
 
 
 def test_solve_over_z8(files, capsys):
@@ -242,6 +253,14 @@ Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
         pytest.param(Z4, '{"vars":"xy","equations":[]}', id="vars-string-of-names"),
         pytest.param(Z4, '{"vars":["x",1],"equations":[]}', id="vars-not-strings"),
         pytest.param('{"kind":"heisenberg","ring":5}', X_TIMES_X1, id="ring-not-object"),
+        pytest.param(
+            '{"kind":"heisenberg","ring":{"kind":"q","p":5}}', X_TIMES_X1, id="q-ring-stray-field"
+        ),
+        pytest.param(
+            '{"kind":"heisenberg","ring":{"kind":"mod","p":3,"e":2,"x":7}}',
+            X_TIMES_X1,
+            id="mod-ring-stray-field",
+        ),
         pytest.param(HEISENBERG_3, '{"equations":[{"word":{"var":"x"}}]}', id="word-not-array"),
         pytest.param(HEISENBERG_3, '{"equations":[{"word":["x"]}]}', id="literal-not-object"),
         pytest.param(HEISENBERG_3, '{"equations":[{"word":[{"var":1,"exp":1}]}]}', id="var-int"),
@@ -382,6 +401,8 @@ def test_demo_json_deterministic(capsys):
         pytest.param(("demo", "zbad", "--scan", "-1"), id="zbad-scan"),
         pytest.param(("stream", "--depths", "1_0"), id="stream-underscore"),
         pytest.param(("stream", "--depths", "5,,10"), id="stream-empty-item"),
+        pytest.param(("stream", "--depths", ""), id="stream-empty"),
+        pytest.param(("demo", "bad", "--primes", "", "--depth", "2"), id="bad-primes-empty"),
         pytest.param(("stream", "--seed", "\u0663"), id="stream-seed"),
         pytest.param(("demo", "pbad", "--depth", "1_0"), id="pbad-underscore"),
         pytest.param(("demo", "pbad", "--p", "\u0663"), id="pbad-p"),

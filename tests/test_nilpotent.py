@@ -13,6 +13,7 @@ from groupeq.abelian import AbelianGroupDescriptor, Summand
 from groupeq.errors import (
     CentralityAssertionFailed,
     MissingVariable,
+    NotPeriodic,
     NotUnimodular,
     SearchSpaceTooLarge,
     Singular,
@@ -21,8 +22,7 @@ from groupeq.errors import (
 from groupeq.intmath import INFINITE
 from groupeq.nilpotent import (
     AbelianHandle,
-    ModRing,
-    RationalRing,
+    HeisenbergGroup,
     TableGroup,
     WordSystem,
     brute_force_group_solve,
@@ -37,7 +37,11 @@ from groupeq.nilpotent import (
     word_system_from_json,
     word_system_to_json,
 )
-from groupeq.randgen import random_nonsingular_word_system, random_unimodular_word_system
+from groupeq.randgen import (
+    random_nonsingular_word_system,
+    random_unimodular_word_system,
+    rng_for,
+)
 from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular
 from reference import center_of
 
@@ -62,6 +66,32 @@ def test_heisenberg_mod2_is_a_group():
     # associativity on all 512 triples
     table = TableGroup.from_handle(H2)
     assert table.order == 8
+    # the triples enumerate as the abelian group (Z/2)**3 does, last coordinate fastest
+    elements = list(H2.elements())
+    assert len(elements) == 8 and elements[:3] == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+    with pytest.raises(NotPeriodic, match="cannot enumerate an infinite group"):
+        next(iter(HQ.elements()))
+
+
+@pytest.mark.parametrize(
+    "ring", [Summand.prufer(3), Summand.integer()], ids=["prufer", "integer"]
+)
+def test_heisenberg_ring_is_cyclic_or_rational(ring):
+    with pytest.raises(UnsupportedGroup):
+        HeisenbergGroup(ring)
+
+
+@pytest.mark.parametrize(
+    "G, first_two",
+    [
+        pytest.param(H9, [["7", "3", "6"], ["1", "1", "7"]], id="mod9"),
+        pytest.param(HQ, [["-5/9", "1/9", "3/1"], ["6/7", "9/1", "-8/1"]], id="q"),
+    ],
+)
+def test_heisenberg_sampling_is_pinned(G, first_two):
+    # seeded samples, and so every seeded workload, stay as they were
+    rng = rng_for("pin", repr(G))
+    assert [G.element_to_json(G.random_element(rng)) for _ in range(2)] == first_two
 
 
 def test_heisenberg_laws_sampled():
@@ -291,14 +321,14 @@ class UT4:
         self.ring = ring
         self.nilpotency_class = depth
         # (I + N)**4 = I + N**4 = I in characteristic 2
-        self.period_bound = 4 if isinstance(ring, ModRing) else INFINITE
+        self.period_bound = 4 if ring.kind == "cyclic" else INFINITE
         self.positions = [(i, i + d) for d in range(1, depth + 1) for i in range(4 - d)]
         self.top = 4 - depth  # entries on the top kept superdiagonal
-        self.center_group = AbelianGroupDescriptor([ring.descriptor_summand()] * self.top)
+        self.center_group = AbelianGroupDescriptor([ring] * self.top)
         if depth > 2:
             self.quotient = UT4(ring, depth - 1)
         else:
-            self.quotient = AbelianHandle(AbelianGroupDescriptor([ring.descriptor_summand()] * 3))
+            self.quotient = AbelianHandle(AbelianGroupDescriptor([ring] * 3))
 
     def identity(self):
         return (self.ring.canon(0),) * len(self.positions)
@@ -356,14 +386,14 @@ class UT4:
         return itertools.product(range(self.ring.modulus), repeat=len(self.positions))
 
     def random_element(self, rng):
-        if isinstance(self.ring, ModRing):
+        if self.ring.kind == "cyclic":
             return tuple(rng.randrange(self.ring.modulus) for _ in self.positions)
         return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in self.positions)
 
 
 def test_solve_bounded_class_3_vs_brute_force():
     # UT4(Z/2) -> UT4/Z -> Z/2^3: the recursion runs three levels deep
-    G = UT4(ModRing(2, 1))
+    G = UT4(Summand.cyclic(2, 1))
     table = TableGroup.from_handle(G)  # checks the group laws on all triples
     assert table.order == 64
     assert set(center_of(table)) == {
@@ -506,7 +536,7 @@ def test_solve_divisible_random():
 
 def test_solve_divisible_class_3():
     # UT4(Q) -> UT4(Q)/Z -> Q^3: the recursion runs three levels deep
-    G = UT4(RationalRing())
+    G = UT4(Summand.rational())
     assert G.quotient.nilpotency_class == 2
     assert isinstance(G.quotient.quotient, AbelianHandle)
     rng = random.Random("ut4q")
