@@ -49,7 +49,7 @@ from .systems import (
     AbelianSystem,
     Const,
     EquationStream,
-    ExponentMatrix,
+    EquationSystem,
     GroupEquation,
     SingularityReport,
     VarPow,

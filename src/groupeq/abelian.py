@@ -232,7 +232,7 @@ class AbelianGroupDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> AbelianGroupDescriptor:
-        obj = expect_json(obj, dict, "a group")
+        obj = _expect_fields(obj, "a group", ("summands",))
         summands = []
         for item in expect_json(obj["summands"], list, "summands"):
             item = expect_json(item, dict, "a summand")
@@ -240,8 +240,7 @@ class AbelianGroupDescriptor:
             if kind not in _SUMMAND_FIELDS:
                 raise ValueError(f"unknown summand kind {kind!r}")
             fields = _SUMMAND_FIELDS[kind]
-            if set(item) != {"kind", *fields}:
-                raise ParseError(f"a {kind} summand has exactly the fields {fields}, got {item!r}")
+            _expect_fields(item, f"a {kind} summand", ("kind", *fields))
             summands.append(Summand(kind, *(int_from_json(item[f]) for f in fields)))
         return cls(summands)
 
@@ -417,6 +416,16 @@ def expect_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ParseError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
     return value
+
+
+def _expect_fields(value, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """value itself when it is a JSON object with every required field and no
+    field outside required and optional; anything else is a ParseError."""
+    obj = expect_json(value, dict, what)
+    if not set(required) <= obj.keys() <= {*required, *optional}:
+        also = f" and optionally {list(optional)}" if optional else ""
+        raise ParseError(f"{what} has the fields {list(required)}{also}, got {sorted(obj)}")
+    return obj
 
 
 def int_from_json(value) -> int:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import counterexamples
-from .abelian import AbelianGroupDescriptor, Summand, expect_json, int_from_json
+from .abelian import AbelianGroupDescriptor, Summand, _expect_fields, expect_json, int_from_json
 from .errors import (
     CentralityAssertionFailed,
     GroupEqError,
@@ -101,9 +101,9 @@ def cmd_classify(args) -> int:
 
 def _solve_dispatch(group_obj: dict, system_obj: dict):
     """The verified solution: every solver checks its answer before returning it."""
-    kind = expect_json(group_obj, dict, "a group").get("kind", None)
-    if kind is None or "summands" in group_obj:
-        system_obj = expect_json(system_obj, dict, "a system")
+    if "kind" not in expect_json(group_obj, dict, "a group"):
+        # the group comes from --group alone: the system file holds no "group"
+        system_obj = _expect_fields(system_obj, "a system", ("equations",), ("vars",))
         return solve_auto(abelian_system_from_json({"group": group_obj, **system_obj}))
     group = group_from_json(group_obj)
     system = word_system_from_json(system_obj, group)

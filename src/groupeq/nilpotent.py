@@ -36,6 +36,7 @@ from .abelian import (
     GroupElement,
     Summand,
     _coords_to_json,
+    _expect_fields,
     element_from_json,
     element_to_json,
     expect_json,
@@ -57,7 +58,7 @@ from .systems import (
     AbelianEquation,
     AbelianSystem,
     Const,
-    ExponentMatrix,
+    EquationSystem,
     GroupEquation,
     VarPow,
     elementary_divisors,
@@ -67,24 +68,8 @@ from .systems import (
 )
 
 
-class WordSystem:
+class WordSystem(EquationSystem):
     """A finite system of word equations w_i = 1 over one group handle."""
-
-    def __init__(self, group, equations, variables=None):
-        self.group = group
-        self.equations = list(equations)
-        seen = set()
-        for eq in self.equations:
-            seen |= eq.variables()
-        if variables is not None:
-            seen |= set(variables)
-        self.variables = tuple(sorted(seen))
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
-    def matrix(self) -> ExponentMatrix:
-        return ExponentMatrix.from_equations(self.equations, self.variables)
 
 
 # -- Heisenberg groups and abelian handles ---------------------------------------
@@ -388,8 +373,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     """Solve a nonsingular word system over a divisible nilpotent handle."""
-    matrix = system.matrix()
-    ok, witness = is_nonsingular(matrix)
+    ok, witness = is_nonsingular(system.matrix())
     if not ok:
         raise Singular(witness=witness)
     G = system.group
@@ -561,38 +545,42 @@ def group_from_json(obj: dict):
     obj = expect_json(obj, dict, "a group")
     kind = obj.get("kind", "heisenberg")
     if kind == "heisenberg":
+        _expect_fields(obj, "a heisenberg group", ("ring",), ("kind",))
         ring = expect_json(obj["ring"], dict, "a ring")
         ring_kind = ring["kind"]
-        if ring_kind not in ("mod", "q"):
+        if ring_kind == "q":
+            _expect_fields(ring, "a q ring", ("kind",))
+            return heisenberg_q()
+        if ring_kind != "mod":
             raise ValueError(f"unknown ring kind {ring_kind!r}")
         # a mod ring is {"kind", "p"} with an optional "e" (default 1)
-        fields = {"kind", "p", "e"} if ring_kind == "mod" else {"kind"}
-        if not set(ring) <= fields:
-            raise ParseError(f"a {ring_kind} ring has the fields {sorted(fields)}, got {ring!r}")
-        if ring_kind == "q":
-            return heisenberg_q()
+        _expect_fields(ring, "a mod ring", ("kind", "p"), ("e",))
         return heisenberg_mod(int_from_json(ring["p"]), int_from_json(ring.get("e", 1)))
     if kind == "table":
+        _expect_fields(obj, "a table group", ("kind", "table"))
         rows = expect_json(obj["table"], list, "a table")
         return TableGroup(
             [[int_from_json(x) for x in expect_json(row, list, "a table row")] for row in rows]
         )
     if kind == "abelian":
+        _expect_fields(obj, "an abelian group", ("kind", "group"))
         return AbelianHandle(AbelianGroupDescriptor.from_json(obj["group"]))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
 def word_system_from_json(obj: dict, group) -> WordSystem:
-    obj = expect_json(obj, dict, "a system")
+    obj = _expect_fields(obj, "a system", ("equations",), ("vars",))
     equations = []
     for eq in expect_json(obj["equations"], list, "equations"):
-        eq = expect_json(eq, dict, "an equation")
+        eq = _expect_fields(eq, "an equation", ("word",))
         word = []
         for lit in expect_json(eq["word"], list, "a word"):
             lit = expect_json(lit, dict, "a literal")
-            if "const" in lit:
+            if "const" in lit:  # a literal is {"const"} or {"var", "exp"}
+                _expect_fields(lit, "a constant literal", ("const",))
                 word.append(Const(group.element_from_json(lit["const"])))
             else:
+                _expect_fields(lit, "a variable literal", ("var", "exp"))
                 var = expect_json(lit["var"], str, "a variable")
                 word.append(VarPow(var, int_from_json(lit["exp"])))
         equations.append(GroupEquation(word))

@@ -58,8 +58,8 @@ from .intmath import inv_mod
 from .systems import (
     AbelianEquation,
     AbelianSystem,
-    ExponentMatrix,
     _column_hermite,
+    _exponent_matrix,
     is_nonsingular,
     is_p_nonsingular,
     verify_solution,
@@ -162,7 +162,7 @@ class _ComponentState:
 def _witness(equations, p: int) -> list[int]:
     """The combination mod p of the refused prefix rows 0..j that vanishes, 1
     on row j: rows 0..j-1 were accepted, so it is unique up to scale."""
-    _, kernel = is_p_nonsingular(ExponentMatrix.from_equations(equations), p)
+    _, kernel = is_p_nonsingular(_exponent_matrix(equations), p)
     inv = inv_mod(kernel[-1], p)
     return [(inv * k) % p for k in kernel]
 
@@ -220,8 +220,7 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
     if not indices:
         return assignment
     D = AbelianGroupDescriptor(A.summands[i] for i in indices)
-    matrix = system.matrix()
-    rows = matrix.dense()
+    rows = system.matrix()
     try:
         L, V = _column_hermite(rows)
     except NotPiNonsingular:
@@ -232,7 +231,7 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
         rhs = D.element(eq.rhs.coords[j] for j in indices)
         terms = [(rhs, sign), *((y[j], -sign * L[i][j]) for j in range(i) if L[i][j])]
         y.append(divide_exact(abs(L[i][i]), D.combine(terms)))
-    for r, var in enumerate(matrix.columns):
+    for r, var in enumerate(system.variables):
         x = D.combine((yj, V[r][j]) for j, yj in enumerate(y) if V[r][j])
         assignment[var] = assignment[var] + embed_at(A, indices, x)
     return assignment

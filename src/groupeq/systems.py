@@ -1,5 +1,5 @@
-"""Equations, systems, streams, exponent matrices and their singularity
-classification: nonsingular / p-nonsingular / unimodular, decided exactly.
+"""Equations, systems, streams, exponent matrices (integer rows, a column per
+variable) and their exact classification: nonsingular / p-nonsingular / unimodular.
 
 Rank over Q uses Bareiss's fraction-free elimination, whose last pivot row
 holds rank x rank minors; rank mod p uses elimination over the field of p
@@ -25,6 +25,7 @@ from typing import Callable
 from .abelian import (
     AbelianGroupDescriptor,
     GroupElement,
+    _expect_fields,
     element_from_json,
     element_to_json,
     expect_json,
@@ -100,27 +101,33 @@ def exponent_row(eq) -> dict[str, int]:
 # -- systems and streams --------------------------------------------------------
 
 
-class AbelianSystem:
-    """A finite system of abelian equations over one group descriptor."""
+class EquationSystem:
+    """A finite system of equations over one group; ``variables`` is sorted."""
 
-    def __init__(self, group: AbelianGroupDescriptor, equations, variables=None):
+    def __init__(self, group, equations, variables=None):
         self.group = group
         self.equations = list(equations)
-        for eq in self.equations:
-            if eq.rhs.descriptor != group:
-                raise DescriptorMismatch("equation rhs lives in a different group")
-        seen = set()
+        seen = set(variables or ())
         for eq in self.equations:
             seen |= eq.variables()
-        if variables is not None:
-            seen |= set(variables)
         self.variables = tuple(sorted(seen))
 
     def __len__(self) -> int:
         return len(self.equations)
 
-    def matrix(self) -> ExponentMatrix:
-        return ExponentMatrix.from_equations(self.equations, self.variables)
+    def matrix(self) -> list[list[int]]:
+        """The exponent matrix: a row per equation, a column per variable."""
+        return _exponent_matrix(self.equations, self.variables)
+
+
+class AbelianSystem(EquationSystem):
+    """A finite system of abelian equations over one group descriptor."""
+
+    def __init__(self, group: AbelianGroupDescriptor, equations, variables=None):
+        super().__init__(group, equations, variables)
+        for eq in self.equations:
+            if eq.rhs.descriptor != group:
+                raise DescriptorMismatch("equation rhs lives in a different group")
 
 
 @dataclass(frozen=True)
@@ -144,49 +151,28 @@ class EquationStream:
 # -- exponent matrices ----------------------------------------------------------
 
 
-class ExponentMatrix:
-    """Integer matrix with finitely supported rows, columns labeled by variables."""
-
-    def __init__(self, columns, rows):
-        self.columns = tuple(columns)
-        index = {v: j for j, v in enumerate(self.columns)}
-        self.rows = []
-        for row in rows:
-            if isinstance(row, dict):
-                dense = [0] * len(self.columns)
-                for v, k in row.items():
-                    if k != 0:
-                        dense[index[v]] = int(k)
-                self.rows.append(dense)
-            else:
-                self.rows.append([int(k) for k in row])
-
-    @classmethod
-    def from_equations(cls, equations, variables=None) -> ExponentMatrix:
-        if variables is None:
-            seen = set()
-            for eq in equations:
-                seen |= set(exponent_row(eq))
-            variables = sorted(seen)
-        return cls(variables, [exponent_row(eq) for eq in equations])
-
-    @classmethod
-    def from_dense(cls, rows) -> ExponentMatrix:
-        width = max((len(r) for r in rows), default=0)
-        return cls([f"c{j}" for j in range(width)], [list(r) + [0] * (width - len(r)) for r in rows])
-
-    def dense(self) -> list[list[int]]:
-        return [row[:] for row in self.rows]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
+def _exponent_matrix(equations, variables=None) -> list[list[int]]:
+    """The equations' exponent sums as integer rows, a column per variable in
+    order; by default the sorted variables with a nonzero sum somewhere."""
+    sums = [exponent_row(eq) for eq in equations]
+    if variables is None:
+        variables = sorted(set().union(*sums))
+    column = {v: j for j, v in enumerate(variables)}
+    rows = []
+    for row in sums:
+        dense = [0] * len(column)
+        for v, k in row.items():
+            dense[column[v]] = k
+        rows.append(dense)
+    return rows
 
 
 def _dense(M) -> list[list[int]]:
-    if isinstance(M, ExponentMatrix):
-        return M.dense()
-    return [list(map(int, row)) for row in M]
+    """The rows of M as lists of ints; rows of different lengths are a ValueError."""
+    rows = [list(map(int, row)) for row in M]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
+    return rows
 
 
 def _rank_over_q(rows):
@@ -482,7 +468,7 @@ def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
 # -- parsing ----------------------------------------------------------------------
 
 
-def parse_matrix_text(text: str) -> ExponentMatrix:
+def parse_matrix_text(text: str) -> list[list[int]]:
     """Plain matrix format: one row per line, space-separated integers."""
     rows = []
     width = None
@@ -501,7 +487,7 @@ def parse_matrix_text(text: str) -> ExponentMatrix:
         elif len(row) != width:
             raise ParseError(f"expected {width} entries, got {len(row)}", line=lineno)
         rows.append(row)
-    return ExponentMatrix.from_dense(rows)
+    return rows
 
 
 def abelian_system_to_json(system: AbelianSystem) -> dict:
@@ -527,11 +513,11 @@ def variables_from_json(obj: dict):
 
 
 def abelian_system_from_json(obj: dict) -> AbelianSystem:
-    obj = expect_json(obj, dict, "a system")
+    obj = _expect_fields(obj, "a system", ("group", "equations"), ("vars",))
     group = AbelianGroupDescriptor.from_json(obj["group"])
     equations = []
     for eq in expect_json(obj["equations"], list, "equations"):
-        eq = expect_json(eq, dict, "an equation")
+        eq = _expect_fields(eq, "an equation", ("coeffs", "rhs"))
         coeffs = expect_json(eq["coeffs"], dict, "coeffs")
         equations.append(
             AbelianEquation(

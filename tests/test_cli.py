@@ -280,6 +280,60 @@ Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
             X_TIMES_C % ("1", '["0","0","0"]'),
             id="exponent-too-large-heisenberg",
         ),
+        # every JSON object holds exactly its documented fields
+        pytest.param(
+            ONE_SUMMAND % '"cyclic","p":2,"e":1',
+            '{"group":{"summands":[{"kind":"cyclic","p":3,"e":1}]},'
+            '"equations":[{"coeffs":{"x":2},"rhs":["1"]}]}',
+            id="system-overrides-group",
+        ),
+        pytest.param(
+            '{"kind":"heisenberg","ring":{"kind":"mod","p":3},'
+            '"summands":[{"kind":"cyclic","p":3,"e":1}]}',
+            X_ONE,
+            id="heisenberg-with-summands",
+        ),
+        pytest.param(
+            HEISENBERG_3,
+            '{"equations":[{"word":[{"var":"x","exp":1,"const":["1","0","0"]}]}]}',
+            id="literal-var-and-const",
+        ),
+        pytest.param(
+            '{"kind":"heisenberg","ring":{"kind":"mod","p":3},"x":7}',
+            X_TIMES_X1,
+            id="heisenberg-stray-field",
+        ),
+        pytest.param(
+            '{"kind":"table","table":[[0,1],[1,0]],"x":1}', '{"equations":[]}', id="table-stray-field"
+        ),
+        pytest.param(
+            '{"kind":"abelian","group":%s,"x":1}' % Z4,
+            X_TIMES_C % ("1", '["3"]'),
+            id="abelian-handle-stray-field",
+        ),
+        pytest.param(
+            '{"summands":[{"kind":"cyclic","p":2,"e":2}],"x":1}', X_ONE, id="group-stray-field"
+        ),
+        pytest.param(
+            Z4,
+            '{"vars":["x"],"extra":1,"equations":[{"coeffs":{"x":1},"rhs":["1"]}]}',
+            id="abelian-system-stray-field",
+        ),
+        pytest.param(
+            Z4,
+            '{"equations":[{"coeffs":{"x":1},"rhs":["1"],"junk":3}]}',
+            id="abelian-equation-stray-field",
+        ),
+        pytest.param(
+            HEISENBERG_3,
+            '{"extra":1,"equations":[{"word":[{"var":"x","exp":1},{"const":["1","0","0"]}]}]}',
+            id="word-system-stray-field",
+        ),
+        pytest.param(
+            HEISENBERG_3,
+            '{"equations":[{"word":[{"var":"x","exp":1},{"const":["1","0","0"]}],"junk":3}]}',
+            id="word-equation-stray-field",
+        ),
         # parsing keeps Python's int-to-str digit limit (4300 digits)
         pytest.param(Z4, X_EQUALS % ("1" * 4301, '["1"]'), id="coefficient-over-digit-limit"),
     ],

@@ -79,7 +79,7 @@ def test_pbad_bound_sequence_strictly_increases():
 
 def test_gen_bad_matrix():
     _, system = gen_bad([2, 3, 5], 3)
-    assert system.matrix().dense() == [
+    assert system.matrix() == [
         [1, 2, 0, 0],
         [1, 0, 3, 0],
         [1, 0, 0, 5],

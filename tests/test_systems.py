@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -12,12 +13,12 @@ from groupeq.systems import (
     AbelianSystem,
     Const,
     EquationStream,
-    ExponentMatrix,
     GroupEquation,
     VarPow,
     abelian_system_from_json,
     abelian_system_to_json,
     _column_hermite,
+    _exponent_matrix,
     _rank_over_q,
     classify_matrix,
     elementary_divisors,
@@ -96,6 +97,15 @@ def test_exponent_row_word_example():
         ]
     )
     assert exponent_row(eq) == {"x": -2, "y": 3}
+    # a system's rows: one column per variable in sorted order, a zero sum
+    # kept as a 0 entry when the variable is a column, dropped otherwise
+    from groupeq.nilpotent import WordSystem, heisenberg_mod
+
+    H = heisenberg_mod(3)
+    c = Const(H.element(1, 0, 0))
+    conj = GroupEquation([VarPow("x", 2), c, VarPow("x", -2), VarPow("y", 1)])
+    assert WordSystem(H, [conj], variables=["w", "x", "y"]).matrix() == [[0, 0, 1]]
+    assert _exponent_matrix([conj, GroupEquation([VarPow("w", 2)])]) == [[0, 1], [2, 0]]
 
 
 def test_exponent_row_trivial_cases():
@@ -107,6 +117,9 @@ def test_exponent_row_abelian_passthrough():
     A = AbelianGroupDescriptor([Summand.cyclic(2, 1)])
     eq = AbelianEquation({"x": 1, "y": 0, "z": -2}, A.zero())
     assert exponent_row(eq) == {"x": 1, "z": -2}
+    system = AbelianSystem(A, [eq], variables=["y"])
+    assert system.variables == ("x", "y", "z")
+    assert system.matrix() == [[1, 0, -2]]
 
 
 # -- rank over Q ----------------------------------------------------------------------
@@ -119,6 +132,23 @@ def test_is_nonsingular_examples():
     assert any(w != 0 for w in witness)
     combo = [sum(w * row[j] for w, row in zip(witness, [[1, 2], [2, 4]])) for j in range(2)]
     assert combo == [0, 0]
+    # zero columns are a width like any other: 1 x 0 and 3 x 0 are singular
+    for k in (1, 3):
+        assert is_nonsingular([[]] * k) == (False, [1] + [0] * (k - 1))
+        assert classify_matrix([[]] * k).divisors == []
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[2, 0], [0, 2, 5]]])
+def test_ragged_rows_are_refused(rows):
+    for classifier in (
+        is_nonsingular,
+        functools.partial(is_p_nonsingular, p=2),
+        elementary_divisors,
+        is_unimodular,
+        classify_matrix,
+    ):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            classifier(rows)
 
 
 def test_prime_diagonal_is_nonsingular_but_p_singular():
@@ -469,7 +499,7 @@ def test_column_hermite_single_row():
     A = AbelianGroupDescriptor([Summand.cyclic(2, 3)])
     a = A.element([5])
     system = _system(A, [[1, 5]], [a], ["x", "y"])
-    L, V = _hermite_checked(system.matrix().dense())
+    L, V = _hermite_checked(system.matrix())
     assert L == [[1, 0]]
     full = _back_substituted(system, V, [a])
     assert verify_solution(system, full)
@@ -479,7 +509,7 @@ def test_column_hermite_single_row():
 def test_column_hermite_identity_case():
     A = AbelianGroupDescriptor([Summand.cyclic(3, 1)])
     system = _system(A, [[1, 0, 2], [0, 1, 3]], [A.element([1]), A.element([2])], ["x", "y", "z"])
-    L, V = _hermite_checked(system.matrix().dense())
+    L, V = _hermite_checked(system.matrix())
     assert L == [[1, 0, 0], [0, 1, 0]]
     full = _back_substituted(system, V, [eq.rhs for eq in system.equations])
     assert verify_solution(system, full)
@@ -488,7 +518,7 @@ def test_column_hermite_identity_case():
 def test_column_hermite_already_square():
     A = AbelianGroupDescriptor([Summand.cyclic(2, 1)])
     system = _system(A, [[1, 1], [0, 1]], [A.element([1]), A.element([0])], ["x", "y"])
-    L, V = _hermite_checked(system.matrix().dense())
+    L, V = _hermite_checked(system.matrix())
     assert L == [[1, 0], [0, 1]]
     full = _back_substituted(system, V, [eq.rhs for eq in system.equations])
     assert full == {"x": A.element([1]), "y": A.zero()}
@@ -509,7 +539,7 @@ def test_column_hermite_preserves_pi_nonsingularity():
         checked += 1
         variables = [f"x{i}" for i in range(n)]
         system = _system(A, rows, [A.random_element(rng) for _ in range(k)], variables)
-        L, _ = _hermite_checked(system.matrix().dense())
+        L, _ = _hermite_checked(system.matrix())
         square = [row[:k] for row in L]
         assert is_nonsingular(square)[0]
         for p in pi:
@@ -595,9 +625,9 @@ def test_stream_truncation_prefix():
 
 def test_parse_matrix_text():
     m = parse_matrix_text("1 -8\n0 1\n")
-    assert m.dense() == [[1, -8], [0, 1]]
+    assert m == [[1, -8], [0, 1]]
     m2 = parse_matrix_text("# comment\n\n2 3\n")
-    assert m2.dense() == [[2, 3]]
+    assert m2 == [[2, 3]]
 
 
 def test_parse_matrix_errors():
