@@ -5,7 +5,6 @@ from .abelian import (
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
-    classify,
     divide_exact,
     height_p,
     order,

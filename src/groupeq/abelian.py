@@ -9,9 +9,13 @@ They are enforced in one place, ``Summand.canon``, which
 group in ``nilpotent`` to each of its scalars.  A coordinate already in
 canonical form passes through unchanged: a reduced residue reduces to itself,
 and a ``Fraction`` on a rational line is kept, not copied.  Sums are formed in
-one place, ``AbelianGroupDescriptor.combine``, which canonicalises a whole
-linear combination once.  Canonical coordinates are written as JSON text in one
-place too, ``_coords_to_json``: a Fraction as "num/den", an int in decimal.
+one place, ``_sum``, one coordinate column at a time:
+``AbelianGroupDescriptor.combine`` applies it to each summand and canonicalises
+the whole linear combination once, and the abelian solvers apply it to their
+coordinate columns directly.  Exact division is done one coordinate at a time
+too, by ``_root``, which ``divide_exact`` applies to each summand.  Canonical
+coordinates are written as JSON text in one place, ``_coords_to_json``: a
+Fraction as "num/den", an int in decimal.
 """
 
 from __future__ import annotations
@@ -143,23 +147,16 @@ class AbelianGroupDescriptor:
         return self.element([0] * len(self.summands))
 
     def combine(self, terms) -> GroupElement:
-        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, canonicalised once;
-        Prüfer and Q coordinates are summed as integer numerators over the lcm of
-        their denominators.  DescriptorMismatch if a g lies in another group."""
+        """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, summed by ``_sum``
+        per summand and canonicalised once.  DescriptorMismatch if a g lies in
+        another group."""
         terms = list(terms)
         for g, _ in terms:
             if g.descriptor is not self and g.descriptor != self:
                 raise DescriptorMismatch("elements live in different groups")
-        sums = []
-        for i, s in enumerate(self.summands):
-            if s.is_divisible:
-                column = [(n, g.coords[i]) for g, n in terms]
-                d = math.lcm(*(c.denominator for _, c in column))
-                num = sum(n * c.numerator * (d // c.denominator) for n, c in column)
-                sums.append(Fraction(num, d))
-            else:
-                sums.append(sum(n * g.coords[i] for g, n in terms))
-        return self.element(sums)
+        return self.element(
+            _sum(s, [(n, g.coords[i]) for g, n in terms]) for i, s in enumerate(self.summands)
+        )
 
     def generator(self, i: int) -> GroupElement:
         """The element with coordinate 1 in summand i and 0 elsewhere."""
@@ -319,12 +316,14 @@ def primary_component(a: GroupElement, p: int) -> GroupElement:
     return sub.element(a.coords[i] for i in indices)
 
 
-def embed_at(A: AbelianGroupDescriptor, indices, part: GroupElement) -> GroupElement:
-    """Re-embed an element of a sub-descriptor at the given coordinate positions."""
-    coords = [0] * len(A.summands)
-    for i, c in zip(indices, part.coords):
-        coords[i] = c
-    return A.element(coords)
+def _sum(s: Summand, column):
+    """n1*c1 + ... + nm*cm for the (n, c) pairs of one coordinate column of
+    summand s, not canonicalised.  Prüfer and Q coordinates are summed as
+    integer numerators over the lcm of their denominators."""
+    if s.is_divisible:
+        d = math.lcm(*(c.denominator for _, c in column))
+        return Fraction(sum(n * c.numerator * (d // c.denominator) for n, c in column), d)
+    return sum(n * c for n, c in column)
 
 
 def divide_exact(n: int, a: GroupElement) -> GroupElement:
@@ -339,55 +338,24 @@ def divide_exact(n: int, a: GroupElement) -> GroupElement:
     A = a.descriptor
     if not A.is_divisible:
         raise NotDivisible(f"group {A!r} has a non-divisible summand")
-    coords = []
-    for s, c in zip(A.summands, a.coords):
-        if s.kind == RATIONAL:
-            coords.append(Fraction(c, n))
-        else:
-            if c == 0:
-                coords.append(Fraction(0))
-                continue
-            v, u = 0, n
-            while u % s.p == 0:
-                u //= s.p
-                v += 1
-            den = c.denominator * s.p**v
-            num = (inv_mod(u % den, den) * c.numerator) % den if u > 1 else c.numerator
-            coords.append(Fraction(num, den))
-    return A.element(coords)
+    return A.element(_root(s, n, c) for s, c in zip(A.summands, a.coords))
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Divisible/reduced split of a descriptor plus period data for the reduced part."""
-
-    divisible: AbelianGroupDescriptor
-    divisible_indices: tuple[int, ...]
-    reduced: AbelianGroupDescriptor
-    reduced_indices: tuple[int, ...]
-    reduced_bounded: bool
-    reduced_period: object  # int, or INFINITE when an integer line is present
-    period_primes: tuple[int, ...]
-
-
-def classify(A: AbelianGroupDescriptor) -> Classification:
-    """Split A into divisible part (Prüfer, Q) and reduced part (cyclic, Z)."""
-    div_idx = tuple(i for i, s in enumerate(A.summands) if s.is_divisible)
-    red_idx = tuple(i for i, s in enumerate(A.summands) if not s.is_divisible)
-    reduced = AbelianGroupDescriptor(A.summands[i] for i in red_idx)
-    period = reduced.period()
-    primes = ()
-    if period is not INFINITE:
-        primes = tuple(sorted({s.p for s in reduced.summands}))
-    return Classification(
-        divisible=AbelianGroupDescriptor(A.summands[i] for i in div_idx),
-        divisible_indices=div_idx,
-        reduced=reduced,
-        reduced_indices=red_idx,
-        reduced_bounded=reduced.is_bounded,
-        reduced_period=period,
-        period_primes=primes,
-    )
+def _root(s: Summand, n: int, c):
+    """divide_exact's pinned root of n*y = c in one coordinate of a divisible
+    summand s; c must be canonical, since a Prüfer root depends on the
+    representative in [0, 1)."""
+    if s.kind == RATIONAL:
+        return Fraction(c, n)
+    if c == 0:
+        return Fraction(0)
+    v, u = 0, n
+    while u % s.p == 0:
+        u //= s.p
+        v += 1
+    den = c.denominator * s.p**v
+    num = (inv_mod(u % den, den) * c.numerator) % den if u > 1 else c.numerator
+    return Fraction(num, den)
 
 
 # -- JSON element encoding ---------------------------------------------------

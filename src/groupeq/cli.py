@@ -60,12 +60,25 @@ def _all_digits():
             sys.set_int_max_str_digits(limit)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key is a ParseError,
+    not a value silently dropped."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"a JSON object repeats the key {repeated!r}")
+    return obj
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -20,7 +20,9 @@ The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
 coefficient product b_i landed in the center, and finish with one abelian
 solve over the center.  Class-1 handles are the base case (their center is
-the whole group).
+the whole group).  Every level's system over the center has the word
+system's exponent matrix, so the divisible solver computes its column
+Hermite pair once and hands it to each level's ``_solve``.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from .errors import (
     NotUnimodular,
     ParseError,
     SearchSpaceTooLarge,
-    Singular,
     UnsupportedGroup,
     VerificationFailed,
 )
 from .intmath import INFINITE
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _hermite, _solve
 from .systems import (
     AbelianEquation,
     AbelianSystem,
@@ -63,7 +64,6 @@ from .systems import (
     VarPow,
     elementary_divisors,
     exponent_row,
-    is_nonsingular,
     variables_from_json,
 )
 
@@ -338,10 +338,10 @@ def _project_system(system: WordSystem) -> WordSystem:
     return WordSystem(G.quotient, projected, variables=system.variables)
 
 
-def _solve_recursive(system: WordSystem) -> dict:
+def _solve_recursive(system: WordSystem, hermite=None) -> dict:
     G = system.group
     if G.nilpotency_class >= 2:
-        quotient_solution = _solve_recursive(_project_system(system))
+        quotient_solution = _solve_recursive(_project_system(system), hermite)
         constants = {v: G.section(quotient_solution[v]) for v in system.variables}
     else:
         constants = {v: G.identity() for v in system.variables}
@@ -357,7 +357,7 @@ def _solve_recursive(system: WordSystem) -> dict:
             )
         central_eqs.append(AbelianEquation(exponent_row(eq), -beta))
     central = AbelianSystem(G.center_group, central_eqs, variables=system.variables)
-    z = _solve(central)
+    z = _solve(central, hermite)
     return {v: G.multiply(constants[v], G.center_embed(z[v])) for v in system.variables}
 
 
@@ -372,16 +372,15 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
 
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
-    """Solve a nonsingular word system over a divisible nilpotent handle."""
-    ok, witness = is_nonsingular(system.matrix())
-    if not ok:
-        raise Singular(witness=witness)
+    """Solve a nonsingular word system over a divisible nilpotent handle; the
+    exponent matrix is factored once, here, for every level's centre solve."""
+    hermite = _hermite(system.matrix())
     G = system.group
     while G is not None:  # every centre down the series
         if not G.center_group.is_divisible:
             raise UnsupportedGroup("solve_divisible needs every summand divisible")
         G = G.quotient
-    return _checked(system, _solve_recursive(system))
+    return _checked(system, _solve_recursive(system, hermite))
 
 
 # -- table groups ---------------------------------------------------------------------

@@ -9,8 +9,9 @@ refused as dependent modulo p; its witness is recomputed by
 ``is_p_nonsingular`` on the prefix ending at the refused row.  Divisible
 summands, when there are any, take one column Hermite reduction
 M*V = [L | 0], which also decides nonsingularity over Q, and forward
-substitution with exact division.  The public solvers differ only in the
-group each accepts:
+substitution with exact division.  Both work on int and Fraction coordinate
+columns, and each variable's element is built once, from its coordinates.
+The public solvers differ only in the group each accepts:
 
 * ``solve_mod_p``     — every summand Z/p for one prime p; refusals are PSingular.
 * ``solve_bounded``   — cyclic summands only.
@@ -40,9 +41,9 @@ from .abelian import (
     AbelianGroupDescriptor,
     GroupElement,
     _coords_to_json,
-    divide_exact,
+    _root,
+    _sum,
     element_to_json,
-    embed_at,
 )
 from .errors import (
     DependentRow,
@@ -107,26 +108,27 @@ class _ComponentState:
     """Forward echelon rows with unit pivots over the cyclic p-summands of a
     group, modulo the largest p**e among them.  A stored row is zero on the
     earlier rows' pivots and is never rewritten.  No combinations of the
-    input rows are kept: a refused row raises a bare DependentRow(p)."""
+    input rows are kept: a refused row raises a bare DependentRow(p).  A
+    right-hand side is the equation's coordinates at ``indices`` as ints mod
+    ``modulus``, which every p-summand's own modulus divides."""
 
-    __slots__ = ("p", "modulus", "sub", "indices", "rows")
+    __slots__ = ("p", "modulus", "indices", "rows")
 
     def __init__(self, group: AbelianGroupDescriptor, p: int):
         self.p = p
         self.indices = tuple(
             i for i, s in enumerate(group.summands) if s.kind == CYCLIC and s.p == p
         )
-        self.sub = AbelianGroupDescriptor(group.summands[i] for i in self.indices)
-        self.modulus = max(s.modulus for s in self.sub.summands)
-        # rows: (pivot var, coeff dict, rhs element of sub)
-        self.rows: list[tuple[str, dict[str, int], GroupElement]] = []
+        self.modulus = max(group.summands[i].modulus for i in self.indices)
+        # rows: (pivot var, coeff dict, rhs ints at indices)
+        self.rows: list[tuple[str, dict[str, int], tuple[int, ...]]] = []
 
     def reduce(self, eq: AbelianEquation):
         """Reduce an equation against the rows without changing them and scale
         its pivot to 1; DependentRow if no coefficient is a unit."""
         m = self.modulus
         row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
-        terms = [(self.sub.element(eq.rhs.coords[i] for i in self.indices), 1)]
+        rhs = [eq.rhs.coords[i] for i in self.indices]
         for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
@@ -136,27 +138,33 @@ class _ComponentState:
                         row[v] = nk
                     else:
                         row.pop(v, None)
-                terms.append((prhs, -c))
+                rhs = [r - c * q for r, q in zip(rhs, prhs)]
         units = [v for v, k in row.items() if k % self.p != 0]
         if not units:
             raise DependentRow(self.p)
         pv = min(units)
         inv = inv_mod(row[pv], m)
         row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
-        return pv, row, self.sub.combine((g, inv * n) for g, n in terms)
+        return pv, row, tuple(inv * r % m for r in rhs)
 
     def commit(self, staged) -> None:
         """Append a row staged by ``reduce``; no stored row changes."""
         self.rows.append(staged)
 
-    def values(self) -> dict[str, GroupElement]:
-        """The pivot values by one back substitution, last row first, with
-        free variables 0: a row holds no earlier row's pivot."""
-        vals: dict[str, GroupElement] = {}
+    def fill(self, coords: dict[str, list]) -> None:
+        """Write the pivot values into coords[var] at ``indices`` by one back
+        substitution, last row first: a row holds no earlier row's pivot."""
+        m = self.modulus
+        vals: dict[str, tuple[int, ...]] = {}
         for pv, row, rhs in reversed(self.rows):
-            terms = [(vals[v], -k) for v, k in row.items() if v in vals]
-            vals[pv] = self.sub.combine([(rhs, 1), *terms]) if terms else rhs
-        return vals
+            val = rhs
+            for v, k in row.items():
+                if v in vals:
+                    val = [a - k * b for a, b in zip(val, vals[v])]
+            vals[pv] = val = tuple(a % m for a in val)
+            target = coords[pv]
+            for i, c in zip(self.indices, val):
+                target[i] = c
 
 
 def _witness(equations, p: int) -> list[int]:
@@ -173,36 +181,36 @@ def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
     return [_ComponentState(group, p) for p in sorted(primes)]
 
 
-def _assemble(group: AbelianGroupDescriptor, components, variables) -> dict[str, GroupElement]:
-    """Recombine the components' pivot values; free variables are 0."""
-    coords = {v: [0] * len(group.summands) for v in variables}
-    for comp in components:
-        for v, val in comp.values().items():
-            for i, c in zip(comp.indices, val.coords):
-                coords[v][i] = c
-    return {v: group.element(c) for v, c in coords.items()}
-
-
 # -- batch solvers -----------------------------------------------------------------
 
 
-def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
+def _hermite(rows: list[list[int]]):
+    """(L, V) with M*V = [L | 0] for exponent rows M, or Singular with
+    ``is_nonsingular``'s witness when a row depends on earlier ones over Q."""
+    try:
+        return _column_hermite(rows)
+    except NotPiNonsingular:
+        raise Singular(witness=is_nonsingular(rows)[1]) from None
+
+
+def _solve(system: AbelianSystem, hermite=None) -> dict[str, GroupElement]:
     """The unverified answer over a group of cyclic, Prüfer and Q summands.
 
-    The cyclic summands are solved prime by prime, smallest first, in the
-    unit-pivot echelon; a p-singular system is refused with
-    MissingPrimeNonsingularity(p) for the smallest such p, its witness
-    recomputed from the rows up to the refused one.  Only when the group has
-    divisible summands must the system also be nonsingular over Q: a column
-    change M*V = [L | 0] with L lower triangular turns M*x = b into
-    L*y = b, x = V*(y, 0), and forward substitution divides down L's
-    diagonal, y_i being divide_exact's pinned root of
-    |L_ii| * y_i = ±(b_i - sum_{j<i} L_ij * y_j).  So the divisible part of
-    the answer is unique over Q and, over Prüfer summands, fixed by that root
-    choice and by V.  The column reduction also decides nonsingularity over
-    Q: it fails exactly at a row that depends on the rows before it, and only
-    then does ``is_nonsingular`` run, to name the Singular witness.  Over the
-    group with no summands every system is solved by zeros.
+    It is worked out on plain int and Fraction coordinate columns, and each
+    variable's element is built once, at the end.  The cyclic summands are
+    solved prime by prime, smallest first, in the unit-pivot echelon; a
+    p-singular system is refused with MissingPrimeNonsingularity(p) for the
+    smallest such p, its witness recomputed from the rows up to the refused
+    one.  Only when the group has divisible summands must the system also be
+    nonsingular over Q: a column change M*V = [L | 0] with L lower triangular
+    turns M*x = b into L*y = b, x = V*(y, 0), and forward substitution
+    divides down L's diagonal, column by column, y_i being divide_exact's
+    pinned root of the canonical ±(b_i - sum_{j<i} L_ij * y_j) by |L_ii|.  So
+    the divisible part of the answer is unique over Q and, over Prüfer
+    summands, fixed by that root choice and by V.  (L, V) is ``hermite`` when
+    the caller has it, else ``_hermite`` of the system, which refuses a
+    singular one.  Over the group with no summands every system is solved by
+    zeros.
     """
     A = system.group
     components = _components(A)
@@ -214,27 +222,23 @@ def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
                 witness = _witness(system.equations[: idx + 1], comp.p)
                 witness += [0] * (len(system.equations) - idx - 1)
                 raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
-    assignment = _assemble(A, components, system.variables)
+    coords = {v: [0] * len(A.summands) for v in system.variables}
+    for comp in components:
+        comp.fill(coords)
 
-    indices = tuple(i for i, s in enumerate(A.summands) if s.is_divisible)
-    if not indices:
-        return assignment
-    D = AbelianGroupDescriptor(A.summands[i] for i in indices)
-    rows = system.matrix()
-    try:
-        L, V = _column_hermite(rows)
-    except NotPiNonsingular:
-        raise Singular(witness=is_nonsingular(rows)[1]) from None
-    y = []
-    for i, eq in enumerate(system.equations):
-        sign = 1 if L[i][i] > 0 else -1
-        rhs = D.element(eq.rhs.coords[j] for j in indices)
-        terms = [(rhs, sign), *((y[j], -sign * L[i][j]) for j in range(i) if L[i][j])]
-        y.append(divide_exact(abs(L[i][i]), D.combine(terms)))
-    for r, var in enumerate(system.variables):
-        x = D.combine((yj, V[r][j]) for j, yj in enumerate(y) if V[r][j])
-        assignment[var] = assignment[var] + embed_at(A, indices, x)
-    return assignment
+    divisible = [(t, s) for t, s in enumerate(A.summands) if s.is_divisible]
+    if divisible:
+        L, V = _hermite(system.matrix()) if hermite is None else hermite
+        for t, s in divisible:
+            y = []
+            for i, eq in enumerate(system.equations):
+                sign = 1 if L[i][i] > 0 else -1
+                column = [(sign, eq.rhs.coords[t])]
+                column += [(-sign * L[i][j], y[j]) for j in range(i) if L[i][j]]
+                y.append(_root(s, abs(L[i][i]), s.canon(_sum(s, column))))
+            for r, var in enumerate(system.variables):
+                coords[var][t] = _sum(s, [(V[r][j], yj) for j, yj in enumerate(y) if V[r][j]])
+    return {v: A.element(c) for v, c in coords.items()}
 
 
 def solve_mod_p(system: AbelianSystem) -> Solution:
@@ -323,7 +327,10 @@ class EchelonState:
 
     def solution(self) -> Solution:
         """The current answer for the equations ingested so far, unverified."""
-        return Solution(_assemble(self.group, self.components, sorted(self.variables)))
+        coords = {v: [0] * len(self.group.summands) for v in sorted(self.variables)}
+        for comp in self.components:
+            comp.fill(coords)
+        return Solution({v: self.group.element(c) for v, c in coords.items()})
 
 
 # -- brute force oracle -------------------------------------------------------------

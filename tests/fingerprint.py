@@ -1,0 +1,233 @@
+"""Fingerprint of groupeq's outputs on a fixed seeded corpus.
+
+    python tests/fingerprint.py SRC_DIR
+
+imports groupeq from SRC_DIR (a checkout's ``src``) and prints one line,
+``<count> <sha256>``: the number of outputs and the digest of their text.
+Run it on two trees in separate processes; equal lines mean the two trees
+gave the same answers and the same refusals on the whole corpus.
+
+An answer is recorded with the type and value of every coordinate, a
+refusal with its exception type, message, prime, witness and divisors.  The
+corpus covers the four public abelian solvers on random bounded and on mixed
+cyclic/Prüfer/Q systems, ``EchelonState`` checkpoints with an injected
+dependent row, the nilpotent solvers on Heisenberg groups and abelian
+handles, ``classify_matrix`` JSON, ``divide_exact`` and ``combine``, and the
+counterexample reports.  Everything is drawn from string-seeded generators,
+so a tree's line does not change from run to run.
+
+Not collected by pytest: the name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+
+
+def _value(v):
+    """Text of an output value that keeps each coordinate's type."""
+    if hasattr(v, "coords"):  # GroupElement
+        v = v.coords
+    if isinstance(v, tuple):
+        return "(" + ",".join(f"{type(c).__name__}:{c}" for c in v) + ")"
+    return f"{type(v).__name__}:{v}"
+
+
+class Corpus:
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def record(self, tag: str, text: str) -> None:
+        self.lines.append(f"{tag} {text}")
+
+    def run(self, tag: str, fn, *args) -> object:
+        """Record fn(*args): a Solution's assignment, another value's text, or
+        the GroupEqError it raised.  Returns the value, or None on a refusal."""
+        from groupeq.errors import GroupEqError
+
+        try:
+            out = fn(*args)
+        except GroupEqError as exc:
+            fields = {
+                k: getattr(exc, k) for k in ("p", "witness", "divisors") if hasattr(exc, k)
+            }
+            self.record(tag, f"{type(exc).__name__} {exc} {fields!r}")
+            return None
+        if hasattr(out, "assignment"):
+            self.record(tag, " ".join(f"{k}={_value(v)}" for k, v in sorted(out.assignment.items())))
+        else:
+            self.record(tag, _value(out))
+        return out
+
+    def digest(self) -> str:
+        text = "\n".join(self.lines).encode()
+        return f"{len(self.lines)} {hashlib.sha256(text).hexdigest()}"
+
+
+def _mixed_group(rng, Summand, AbelianGroupDescriptor, divisible_only=False):
+    pool = [Summand.prufer(3), Summand.prufer(2), Summand.rational()]
+    if not divisible_only:
+        pool += [Summand.cyclic(2, 3), Summand.cyclic(3, 2), Summand.cyclic(2, 1),
+                 Summand.cyclic(5, 1), Summand.cyclic(3, 1)]
+    return AbelianGroupDescriptor(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+
+
+def abelian_corpus(c: Corpus) -> None:
+    from groupeq.abelian import AbelianGroupDescriptor, Summand
+    from groupeq.randgen import random_abelian_instance, random_unimodular_stream
+    from groupeq.solve_abelian import solve_auto, solve_bounded, solve_divisible, solve_mod_p
+    from groupeq.systems import AbelianEquation, AbelianSystem
+
+    solvers = (solve_auto, solve_bounded, solve_divisible, solve_mod_p)
+    for i in range(1200):
+        system, flavor = random_abelian_instance(f"fp:{i}")
+        for solve in solvers:
+            c.run(f"abinst {i} {flavor} {solve.__name__}", solve, system)
+
+    for i in range(1500):
+        rng = random.Random(f"fp-mixed:{i}")
+        group = _mixed_group(rng, Summand, AbelianGroupDescriptor, divisible_only=i % 3 == 0)
+        nvars = rng.randint(1, 4)
+        variables = [f"v{j}" for j in range(nvars)]
+        extra = ["w"] if i % 4 == 0 else []
+        equations = []
+        for _ in range(rng.randint(0, nvars + (i % 5 == 0))):
+            coeffs = {v: rng.randint(-4, 4) for v in variables}
+            equations.append(AbelianEquation(coeffs, group.random_element(rng)))
+        system = AbelianSystem(group, equations, variables=variables + extra)
+        for solve in solvers:
+            c.run(f"mixed {i} {group!r} {solve.__name__}", solve, system)
+
+    mixed = AbelianGroupDescriptor(
+        [Summand.cyclic(2, 3), Summand.cyclic(3, 2), Summand.prufer(3), Summand.rational()]
+    )
+    for i in range(40):
+        stream = random_unimodular_stream(mixed, f"fp-trunc:{i}")
+        for depth in (1, 5, 12):
+            c.run(f"truncation {i} {depth}", solve_auto, stream.truncation(depth))
+
+
+def echelon_corpus(c: Corpus) -> None:
+    from groupeq.randgen import random_bounded_group, random_unimodular_stream, rng_for
+    from groupeq.solve_abelian import EchelonState
+    from groupeq.systems import AbelianEquation
+
+    for i in range(300):
+        rng = rng_for("fp-echelon", i)
+        group = random_bounded_group(rng)
+        stream = random_unimodular_stream(group, f"fp-echelon:{i}")
+        state = EchelonState(group)
+        depth = rng.randint(1, 25)
+        for d in range(depth):
+            state.ingest(stream.gen(d))
+            if d % 7 == 0:
+                c.run(f"echelon {i} {d}", state.solution)
+        # a row that is dependent modulo the group's smallest prime
+        p = min(s.p for s in group.summands)
+        a, b = rng.randrange(depth), rng.randrange(depth)
+        coeffs = dict(stream.gen(a).coeffs)
+        for v, k in stream.gen(b).coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + rng.randint(-2, 2) * k
+        coeffs = {v: p * k for v, k in coeffs.items()}
+        dependent = AbelianEquation(coeffs, group.random_element(rng))
+        c.run(f"echelon {i} dependent", lambda: state.ingest(dependent).count)
+        c.run(f"echelon {i} after", state.solution)
+        for d in range(depth, depth + 5):
+            state.ingest(stream.gen(d))
+        c.run(f"echelon {i} end", state.solution)
+
+
+def nilpotent_corpus(c: Corpus) -> None:
+    from groupeq.abelian import AbelianGroupDescriptor, Summand
+    from groupeq.nilpotent import (
+        AbelianHandle,
+        WordSystem,
+        heisenberg_mod,
+        heisenberg_q,
+        solve_nilpotent_bounded,
+        solve_nilpotent_divisible,
+    )
+    from groupeq.randgen import (
+        _words_from_matrix,
+        random_nonsingular_word_system,
+        random_unimodular_word_system,
+    )
+
+    bounded = [heisenberg_mod(p, e) for p, e in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1))]
+    bounded.append(AbelianHandle(AbelianGroupDescriptor([Summand.cyclic(2, 2), Summand.cyclic(3, 1)])))
+    divisible = [
+        heisenberg_q(),
+        AbelianHandle(AbelianGroupDescriptor([Summand.rational(), Summand.prufer(2)])),
+    ]
+    for G in bounded:
+        for i in range(60):
+            system = random_unimodular_word_system(G, f"fp-hb:{i}", max_eqs=3, max_vars=4)
+            c.run(f"nil {G!r} {i}", solve_nilpotent_bounded, system)
+            c.run(f"nil {G!r} {i} divisible", solve_nilpotent_divisible, system)
+    for G in divisible:
+        for i in range(150):
+            system = random_nonsingular_word_system(G, f"fp-hq:{i}", max_eqs=3, max_vars=4)
+            c.run(f"nil {G!r} {i}", solve_nilpotent_divisible, system)
+    # raw rows: singular over Q, or not unimodular, some of the time
+    for G in (*bounded[:3], *divisible):
+        for i in range(60):
+            rng = random.Random(f"fp-raw:{G!r}:{i}")
+            nvars = rng.randint(1, 3)
+            variables = [f"x{j}" for j in range(nvars)]
+            rows = [[rng.randint(-3, 3) for _ in variables] for _ in range(rng.randint(1, nvars + 1))]
+            system = WordSystem(G, _words_from_matrix(G, rng, rows, variables), variables)
+            c.run(f"raw {G!r} {i} bounded", solve_nilpotent_bounded, system)
+            c.run(f"raw {G!r} {i} divisible", solve_nilpotent_divisible, system)
+
+
+def matrix_corpus(c: Corpus) -> None:
+    from groupeq.abelian import AbelianGroupDescriptor, Summand, divide_exact
+    from groupeq.systems import classify_matrix
+
+    for i in range(400):
+        rng = random.Random(f"fp-matrix:{i}")
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        c.run(f"classify {i}", lambda: json.dumps(classify_matrix(rows, (2, 3, 5)).to_json(), sort_keys=True))
+
+    for i in range(400):
+        rng = random.Random(f"fp-divide:{i}")
+        group = _mixed_group(rng, Summand, AbelianGroupDescriptor, divisible_only=True)
+        a, b = group.random_element(rng), group.random_element(rng)
+        n = rng.randint(1, 40)
+        c.run(f"divide {i}", divide_exact, n, a)
+        c.run(f"combine {i}", group.combine, [(a, rng.randint(-5, 5)), (b, n)])
+        mixed = _mixed_group(rng, Summand, AbelianGroupDescriptor)
+        terms = [(mixed.random_element(rng), rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))]
+        c.run(f"combine mixed {i}", mixed.combine, terms)
+
+
+def report_corpus(c: Corpus) -> None:
+    from groupeq.counterexamples import bad_support_check, pbad_growth, zbad_bound_check
+
+    for p in (2, 3):
+        for j in range(2, 8):
+            c.run(f"pbad {p} {j}", lambda: json.dumps(pbad_growth(p, j).to_json(), sort_keys=True))
+    for n in range(1, 5):
+        c.run(f"bad {n}", lambda: json.dumps(bad_support_check((2, 3, 5, 7), n).to_json(), sort_keys=True))
+    for m in range(1, 5):
+        c.run(f"zbad {m}", lambda: json.dumps(zbad_bound_check(m, brute_limit=10**4).to_json(), sort_keys=True))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tests/fingerprint.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    corpus = Corpus()
+    for part in (abelian_corpus, echelon_corpus, nilpotent_corpus, matrix_corpus, report_corpus):
+        part(corpus)
+    print(corpus.digest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

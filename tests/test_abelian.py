@@ -8,7 +8,6 @@ from groupeq.abelian import (
     AbelianGroupDescriptor,
     GroupElement,
     Summand,
-    classify,
     divide_exact,
     element_from_json,
     element_to_json,
@@ -169,7 +168,7 @@ def test_primary_rejects_nonperiodic():
 
 
 def test_primary_decomposition_reassembles():
-    from groupeq.abelian import embed_at, primary_part
+    from groupeq.abelian import primary_part
 
     rng = random.Random("primary")
     for _ in range(40):
@@ -178,7 +177,10 @@ def test_primary_decomposition_reassembles():
         total = A.zero()
         for p in sorted({s.p for s in A.summands}):
             _, indices = primary_part(A, p)
-            total = total + embed_at(A, indices, primary_component(a, p))
+            coords = [0] * len(A.summands)
+            for i, c in zip(indices, primary_component(a, p).coords):
+                coords[i] = c
+            total = total + A.element(coords)
         assert total == a
 
 
@@ -244,30 +246,6 @@ def test_divide_exact_postcondition_random():
         a = A.random_element(rng)
         n = rng.randint(1, 30)
         assert divide_exact(n, a).scale(n) == a
-
-
-# -- classify ----------------------------------------------------------------------------------
-
-
-def test_classify_examples():
-    info = classify(descr(Z(2, 2), Summand.prufer(3)))
-    assert [s.modulus for s in info.reduced.summands] == [4]
-    assert info.reduced_period == 4
-    assert [s.kind for s in info.divisible.summands] == ["prufer"]
-
-    info2 = classify(descr(Summand.rational(), Summand.rational()))
-    assert len(info2.reduced.summands) == 0
-    assert info2.reduced_period == 1 and info2.reduced_bounded
-
-    info3 = classify(descr(Z(2, 3), Z(3, 2)))
-    assert info3.reduced_period == 72
-    assert info3.period_primes == (2, 3)
-
-
-def test_classify_integer_line_unbounded():
-    info = classify(descr(Summand.integer()))
-    assert not info.reduced_bounded
-    assert info.reduced_period == INFINITE
 
 
 # -- JSON ----------------------------------------------------------------------------------------

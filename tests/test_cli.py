@@ -336,6 +336,12 @@ Z2_TABLE = '{"kind":"table","table":[[0,1],[1,0]]}'
         ),
         # parsing keeps Python's int-to-str digit limit (4300 digits)
         pytest.param(Z4, X_EQUALS % ("1" * 4301, '["1"]'), id="coefficient-over-digit-limit"),
+        # a repeated key is refused, not read as its last value (2x = 1 over Z/2)
+        pytest.param(
+            ONE_SUMMAND % '"cyclic","p":2,"e":1',
+            '{"equations":[{"coeffs":{"x":1,"x":2},"rhs":["1"]}]}',
+            id="repeated-key",
+        ),
     ],
 )
 def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):
@@ -343,6 +349,26 @@ def test_solve_rejects_inexact_json_exit_2(files, capsys, group, system):
     code, out, err = run(capsys, "solve", "--group", group, "--system", system)
     assert (code, out) == (2, "")
     assert "ParseError" in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("solve", "--group", "DEEP", "--system", "S"), id="solve-group"),
+        pytest.param(("solve", "--group", "G", "--system", "DEEP"), id="solve-system"),
+        pytest.param(("classify", "--system", "DEEP"), id="classify-system"),
+        pytest.param(("stream", "--group", "DEEP"), id="stream-group"),
+    ],
+)
+def test_deeply_nested_json_exit_2(files, capsys, argv):
+    # the JSON decoder recurses once per level of nesting
+    paths = {"DEEP": files("deep.json", DEEP), "G": files("g.json", Z4), "S": files("s.json", X_ONE)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert "ParseError: JSON nested too deeply" in err
 
 
 def test_solve_mixed_abelian_handle_exit_3(files, capsys):

@@ -565,6 +565,44 @@ def test_solve_divisible_class_3():
     assert exc.value.witness == is_nonsingular(singular.matrix())[1] == [3, -1]
 
 
+def test_solve_divisible_factors_each_system_once(monkeypatch):
+    # every level of the recursion solves over its centre with the word
+    # system's exponent matrix: one column Hermite reduction serves them all,
+    # and only a singular system runs is_nonsingular, for its witness
+    from groupeq import nilpotent, solve_abelian
+
+    calls = []
+    hermite, nonsingular = solve_abelian._column_hermite, is_nonsingular
+
+    def counted_hermite(rows):
+        calls.append("hermite")
+        return hermite(rows)
+
+    def counted_nonsingular(M):
+        calls.append("is_nonsingular")
+        return nonsingular(M)
+
+    monkeypatch.setattr(solve_abelian, "_column_hermite", counted_hermite)
+    # either module may bind is_nonsingular; a check in either one counts
+    for module in (nilpotent, solve_abelian):
+        monkeypatch.setattr(module, "is_nonsingular", counted_nonsingular, raising=False)
+    ut4 = UT4(Summand.rational())
+    for G, key in ((HQ, "t3"), (ut4, "ut4q")):
+        for i in range(12):
+            system = random_nonsingular_word_system(G, f"{key}:{i}")
+            calls.clear()
+            solve_nilpotent_divisible(system)
+            assert calls == ["hermite"], (G, i)
+    g = ut4.random_element(random.Random("ut4q-singular"))
+    singular = WordSystem(
+        ut4, [GroupEquation([VarPow("x", 1), Const(g)]), GroupEquation([VarPow("x", 2)])]
+    )
+    calls.clear()
+    with pytest.raises(Singular):
+        solve_nilpotent_divisible(singular)
+    assert calls == ["hermite", "is_nonsingular"]
+
+
 # -- roots ---------------------------------------------------------------------------------------
 
 
