@@ -227,6 +227,9 @@ class AbelianGroupDescriptor:
                 out.append({"kind": s.kind})
         return {"summands": out}
 
+    def element_to_json(self, a: GroupElement) -> list[str]:
+        return _coords_to_json(a.coords)
+
     @classmethod
     def from_json(cls, obj: dict) -> AbelianGroupDescriptor:
         obj = _expect_fields(obj, "a group", ("summands",))
@@ -363,12 +366,8 @@ def _root(s: Summand, n: int, c):
 
 def _coords_to_json(coords) -> list[str]:
     """Canonical coordinates as JSON text: a Fraction as "num/den", an int in
-    decimal.  Shared by the abelian, Heisenberg and solution encoders."""
+    decimal.  Shared by the abelian and Heisenberg encoders."""
     return [f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c) for c in coords]
-
-
-def element_to_json(a: GroupElement) -> list[str]:
-    return _coords_to_json(a.coords)
 
 
 _INTEGER_TEXT = re.compile(r"[-+]?[0-9]+")

@@ -211,7 +211,8 @@ def zbad_bound_check(m: int, brute_limit: int = 10**6) -> GrowthReport:
     if scan_violations:
         raise VerificationFailed("brute force found a solution below the bound")
 
-    witness = Solution(zbad_solution_from_x(m, min_positive))
+    assignment = zbad_solution_from_x(m, min_positive)
+    witness = Solution(assignment["x"].descriptor, assignment)
     return GrowthReport(
         family="zbad",
         depth=m,

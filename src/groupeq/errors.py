@@ -81,12 +81,6 @@ class MissingPrimeNonsingularity(GroupEqError):
         self.witness = witness
 
 
-class NotPiNonsingular(GroupEqError):
-    def __init__(self, witness=None):
-        super().__init__("system is not pi-nonsingular (singular over Q)")
-        self.witness = witness
-
-
 class NotUnimodular(GroupEqError):
     def __init__(self, divisors=None):
         super().__init__()

@@ -4,9 +4,10 @@ Two concrete families carry the algorithms: Heisenberg groups (class 2)
 over Z/p**e or over Q, and small multiplication-table groups used as
 independent oracles.  A group handle exposes exactly what the solvers
 need: multiplication, inversion, the center as an abelian descriptor with
-embed/recognize maps, and the quotient by the center with a section.  A
-handle may also evaluate a whole word at once (``evaluate``); the Heisenberg
-groups and the abelian handles do, in collected form, with one
+embed/recognize maps, and the quotient by the center with a section.
+Elements are canonical values, so two are equal exactly when ``==`` says
+so.  A handle may also evaluate a whole word at once (``evaluate``); the
+Heisenberg groups and the abelian handles do, in collected form, with one
 canonicalisation per word.  Table groups fold the word left to right.
 
 A Heisenberg group's scalar ring is a cyclic or rational ``Summand``: its
@@ -14,7 +15,8 @@ scalars are canonicalised by ``Summand.canon``, and its triples are
 enumerated, sampled and read from JSON by the abelian group ring**3, so the
 abelian canonical forms and codec are the only ones.  Every handle reads and
 writes its own elements (``element_from_json``, ``element_to_json``), a table
-group's as indices in range(order), so one word-system codec serves them all.
+group's as indices in range(order), so one word-system codec serves them all,
+and a ``Solution`` over the handle writes its values with the same method.
 
 The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
@@ -22,7 +24,9 @@ coefficient product b_i landed in the center, and finish with one abelian
 solve over the center.  Class-1 handles are the base case (their center is
 the whole group).  Every level's system over the center has the word
 system's exponent matrix, so the divisible solver computes its column
-Hermite pair once and hands it to each level's ``_solve``.
+Hermite pair once, with ``systems._column_hermite``, and hands it to each
+level's ``_solve``; a singular system is refused there, with Singular,
+before any centre is checked for divisibility.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .abelian import (
     _coords_to_json,
     _expect_fields,
     element_from_json,
-    element_to_json,
     expect_json,
     int_from_json,
 )
@@ -54,7 +57,7 @@ from .errors import (
     VerificationFailed,
 )
 from .intmath import INFINITE
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _hermite, _solve
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
 from .systems import (
     AbelianEquation,
     AbelianSystem,
@@ -62,6 +65,7 @@ from .systems import (
     EquationSystem,
     GroupEquation,
     VarPow,
+    _column_hermite,
     elementary_divisors,
     exponent_row,
     variables_from_json,
@@ -92,8 +96,7 @@ class HeisenbergGroup:
         self._zero = ring.canon(0)
         self._triples = AbelianGroupDescriptor([ring] * 3)
         self.center_group = AbelianGroupDescriptor([ring])
-        self._quotient_descriptor = AbelianGroupDescriptor([ring] * 2)
-        self.quotient = AbelianHandle(self._quotient_descriptor)
+        self.quotient = AbelianHandle(AbelianGroupDescriptor([ring] * 2))
         # (a,b,c)**(p**e) has third coordinate binom(p**e, 2)*a*b, which
         # vanishes mod p**e only for odd p; for p = 2 the period doubles.
         self.period_bound = 2 * ring.modulus if ring.p == 2 else self._triples.period()
@@ -152,9 +155,6 @@ class HeisenbergGroup:
         z = Fraction(z_c, C) + Fraction(z_ab, A * B)
         return self.element(Fraction(x, A), Fraction(y, B), z)
 
-    def equal(self, g, h) -> bool:
-        return g == h
-
     # -- center -----------------------------------------------------------
 
     def center_embed(self, z: GroupElement):
@@ -169,7 +169,7 @@ class HeisenbergGroup:
     # -- quotient by the center --------------------------------------------
 
     def project(self, g) -> GroupElement:
-        return self._quotient_descriptor.element([g[0], g[1]])
+        return self.quotient.descriptor.element([g[0], g[1]])
 
     def section(self, q: GroupElement):
         """Coset representative choice: (a, b) lifts to (a, b, 0)."""
@@ -179,9 +179,6 @@ class HeisenbergGroup:
 
     def elements(self):
         return (g.coords for g in self._triples.elements())
-
-    def size(self):
-        return self._triples.size()
 
     def random_element(self, rng):
         """Uniform over Z/p**e; over Q, coordinates a/b with |a| <= 9, 1 <= b <= 9."""
@@ -230,9 +227,6 @@ class AbelianHandle:
         """n1*g1 + ... + nm*gm for the (g, n) pairs in terms, by ``combine``."""
         return self.descriptor.combine(terms)
 
-    def equal(self, g, h) -> bool:
-        return g == h
-
     def center_embed(self, z: GroupElement) -> GroupElement:
         return z
 
@@ -242,14 +236,11 @@ class AbelianHandle:
     def elements(self):
         return self.descriptor.elements()
 
-    def size(self):
-        return self.descriptor.size()
-
     def random_element(self, rng):
         return self.descriptor.random_element(rng)
 
     def element_to_json(self, g) -> list[str]:
-        return element_to_json(g)
+        return self.descriptor.element_to_json(g)
 
     def element_from_json(self, coords):
         return element_from_json(self.descriptor, coords)
@@ -374,7 +365,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     """Solve a nonsingular word system over a divisible nilpotent handle; the
     exponent matrix is factored once, here, for every level's centre solve."""
-    hermite = _hermite(system.matrix())
+    hermite = _column_hermite(system.matrix())
     G = system.group
     while G is not None:  # every centre down the series
         if not G.center_group.is_divisible:
@@ -467,9 +458,6 @@ class TableGroup:
             base = self.table[base][base]
             n >>= 1
         return out
-
-    def equal(self, g: int, h: int) -> bool:
-        return g == h
 
     def elements(self):
         return range(self.order)

@@ -8,9 +8,11 @@ them by back substitution.  A row that reduces to no unit coefficient is
 refused as dependent modulo p; its witness is recomputed by
 ``is_p_nonsingular`` on the prefix ending at the refused row.  Divisible
 summands, when there are any, take one column Hermite reduction
-M*V = [L | 0], which also decides nonsingularity over Q, and forward
-substitution with exact division.  Both work on int and Fraction coordinate
-columns, and each variable's element is built once, from its coordinates.
+M*V = [L | 0], ``systems._column_hermite``, which also decides nonsingularity
+over Q and refuses a singular system with Singular, and forward substitution
+with exact division.  Both work on int and Fraction coordinate columns, and
+each variable's element is built once, from its coordinates.  A ``Solution``
+keeps the group its values live in, and that group writes them as JSON.
 The public solvers differ only in the group each accepts:
 
 * ``solve_mod_p``     — every summand Z/p for one prime p; refusals are PSingular.
@@ -35,23 +37,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import (
-    CYCLIC,
-    INTEGER,
-    AbelianGroupDescriptor,
-    GroupElement,
-    _coords_to_json,
-    _root,
-    _sum,
-    element_to_json,
-)
+from .abelian import CYCLIC, INTEGER, AbelianGroupDescriptor, GroupElement, _root, _sum
 from .errors import (
     DependentRow,
     MissingPrimeNonsingularity,
-    NotPiNonsingular,
     PSingular,
     SearchSpaceTooLarge,
-    Singular,
     UnsupportedGroup,
     VerificationFailed,
 )
@@ -61,36 +52,29 @@ from .systems import (
     AbelianSystem,
     _column_hermite,
     _exponent_matrix,
-    is_nonsingular,
     is_p_nonsingular,
     verify_solution,
 )
 
 
-def _encode_value(value):
-    if isinstance(value, GroupElement):
-        return element_to_json(value)
-    if isinstance(value, tuple):  # Heisenberg triple of ring scalars
-        return _coords_to_json(value)
-    return value  # table group index
-
-
 @dataclass(frozen=True)
 class Solution:
-    """An assignment of group elements to variables.
+    """An assignment of elements of ``group`` to variables; ``group`` is an
+    abelian descriptor or a group handle, and encodes the values as JSON.
 
     Every solver's Solution is verified against its system; the one
     ``EchelonState.solution()`` returns is not (``cli.cmd_stream`` verifies it
     against the stream truncation).
     """
 
+    group: object
     assignment: dict[str, GroupElement]
 
     def __getitem__(self, var: str) -> GroupElement:
         return self.assignment[var]
 
     def to_json(self) -> dict:
-        return {v: _encode_value(a) for v, a in sorted(self.assignment.items())}
+        return {v: self.group.element_to_json(a) for v, a in sorted(self.assignment.items())}
 
 
 def _checked(system, assignment: dict) -> Solution:
@@ -98,7 +82,7 @@ def _checked(system, assignment: dict) -> Solution:
     VerificationFailed."""
     if not verify_solution(system, assignment):
         raise VerificationFailed("solver produced a non-solution")
-    return Solution(assignment)
+    return Solution(system.group, assignment)
 
 
 # -- unit-pivot echelon engine -----------------------------------------------------
@@ -125,7 +109,8 @@ class _ComponentState:
 
     def reduce(self, eq: AbelianEquation):
         """Reduce an equation against the rows without changing them and scale
-        its pivot to 1; DependentRow if no coefficient is a unit."""
+        its pivot to 1, ready to append to ``rows``; DependentRow if no
+        coefficient is a unit."""
         m = self.modulus
         row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
         rhs = [eq.rhs.coords[i] for i in self.indices]
@@ -146,10 +131,6 @@ class _ComponentState:
         inv = inv_mod(row[pv], m)
         row = {v: (inv * k) % m for v, k in row.items() if (inv * k) % m != 0}
         return pv, row, tuple(inv * r % m for r in rhs)
-
-    def commit(self, staged) -> None:
-        """Append a row staged by ``reduce``; no stored row changes."""
-        self.rows.append(staged)
 
     def fill(self, coords: dict[str, list]) -> None:
         """Write the pivot values into coords[var] at ``indices`` by one back
@@ -184,15 +165,6 @@ def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
 # -- batch solvers -----------------------------------------------------------------
 
 
-def _hermite(rows: list[list[int]]):
-    """(L, V) with M*V = [L | 0] for exponent rows M, or Singular with
-    ``is_nonsingular``'s witness when a row depends on earlier ones over Q."""
-    try:
-        return _column_hermite(rows)
-    except NotPiNonsingular:
-        raise Singular(witness=is_nonsingular(rows)[1]) from None
-
-
 def _solve(system: AbelianSystem, hermite=None) -> dict[str, GroupElement]:
     """The unverified answer over a group of cyclic, Prüfer and Q summands.
 
@@ -208,16 +180,16 @@ def _solve(system: AbelianSystem, hermite=None) -> dict[str, GroupElement]:
     pinned root of the canonical ±(b_i - sum_{j<i} L_ij * y_j) by |L_ii|.  So
     the divisible part of the answer is unique over Q and, over Prüfer
     summands, fixed by that root choice and by V.  (L, V) is ``hermite`` when
-    the caller has it, else ``_hermite`` of the system, which refuses a
-    singular one.  Over the group with no summands every system is solved by
-    zeros.
+    the caller has it, else ``_column_hermite`` of the system, which refuses a
+    singular one with Singular and ``is_nonsingular``'s witness.  Over the
+    group with no summands every system is solved by zeros.
     """
     A = system.group
     components = _components(A)
     for comp in components:
         for idx, eq in enumerate(system.equations):
             try:
-                comp.commit(comp.reduce(eq))
+                comp.rows.append(comp.reduce(eq))
             except DependentRow as exc:
                 witness = _witness(system.equations[: idx + 1], comp.p)
                 witness += [0] * (len(system.equations) - idx - 1)
@@ -228,7 +200,7 @@ def _solve(system: AbelianSystem, hermite=None) -> dict[str, GroupElement]:
 
     divisible = [(t, s) for t, s in enumerate(A.summands) if s.is_divisible]
     if divisible:
-        L, V = _hermite(system.matrix()) if hermite is None else hermite
+        L, V = _column_hermite(system.matrix()) if hermite is None else hermite
         for t, s in divisible:
             y = []
             for i, eq in enumerate(system.equations):
@@ -320,7 +292,7 @@ class EchelonState:
             witness = _witness([*self.equations, eq], exc.p)
             raise DependentRow(exc.p, witness={j: k for j, k in enumerate(witness) if k}) from None
         for comp, row in zip(self.components, staged):
-            comp.commit(row)
+            comp.rows.append(row)
         self.equations.append(eq)
         self.variables |= eq.variables()
         return self
@@ -330,7 +302,7 @@ class EchelonState:
         coords = {v: [0] * len(self.group.summands) for v in sorted(self.variables)}
         for comp in self.components:
             comp.fill(coords)
-        return Solution({v: self.group.element(c) for v, c in coords.items()})
+        return Solution(self.group, {v: self.group.element(c) for v, c in coords.items()})
 
 
 # -- brute force oracle -------------------------------------------------------------

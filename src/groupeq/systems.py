@@ -7,7 +7,8 @@ elements.  Elementary divisors, and with them unimodularity, come from a
 Smith form over the integers modulo the gcd of those minors, which covers
 all primes at once without factoring and without building transforms.  The
 divisible solver needs only _column_hermite, a column Hermite form
-M*V = [L | 0].
+M*V = [L | 0], which refuses a singular system with Singular and the witness
+of is_nonsingular.
 Failed classifications return a witness: a nonzero integer combination of
 rows that vanishes (mod p where applicable).  Each elimination keeps its
 transform inside the matrix it reduces: the row eliminations work on [M | I],
@@ -27,11 +28,10 @@ from .abelian import (
     GroupElement,
     _expect_fields,
     element_from_json,
-    element_to_json,
     expect_json,
     int_from_json,
 )
-from .errors import DescriptorMismatch, MissingVariable, NotPiNonsingular, ParseError
+from .errors import DescriptorMismatch, MissingVariable, ParseError, Singular
 from .errors import VerificationFailed
 from .intmath import check_prime
 
@@ -417,8 +417,9 @@ def _column_hermite(rows: list[list[int]]):
     """Column operations only: bring a full-row-rank k x n matrix to [L | 0]
     with L lower triangular.  The operations act on M stacked over the n x n
     identity, so the lower block records V with M*V = [L | 0].  Returns
-    ([L | 0], V).  Raises NotPiNonsingular exactly when a row depends over Q
-    on the rows before it: only such a row is zero past the diagonal."""
+    ([L | 0], V).  Raises Singular, with ``is_nonsingular``'s witness, exactly
+    when a row depends over Q on the rows before it: only such a row is zero
+    past the diagonal."""
     k = len(rows)
     n = len(rows[0]) if rows else 0
     A = [row[:] for row in rows] + [[int(i == j) for j in range(n)] for i in range(n)]
@@ -426,7 +427,7 @@ def _column_hermite(rows: list[list[int]]):
         while True:
             support = [j for j in range(r, n) if A[r][j] != 0]
             if not support:
-                raise NotPiNonsingular(witness=None)
+                raise Singular(witness=is_nonsingular(rows)[1])
             if len(support) == 1:
                 j = support[0]
                 if j != r:
@@ -459,9 +460,7 @@ def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
 
     if isinstance(system, WordSystem):
         G = system.group
-        return all(
-            G.equal(evaluate_word(G, eq, assignment), G.identity()) for eq in system.equations
-        )
+        return all(evaluate_word(G, eq, assignment) == G.identity() for eq in system.equations)
     raise TypeError(f"unknown system type {type(system)!r}")
 
 
@@ -497,7 +496,7 @@ def abelian_system_to_json(system: AbelianSystem) -> dict:
         "equations": [
             {
                 "coeffs": {v: k for v, k in sorted(eq.coeffs.items())},
-                "rhs": element_to_json(eq.rhs),
+                "rhs": system.group.element_to_json(eq.rhs),
             }
             for eq in system.equations
         ],

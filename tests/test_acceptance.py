@@ -401,11 +401,11 @@ def criterion_9():
             ab = commutator(G, a, b)
             lhs = commutator(G, a, G.multiply(b, c))
             rhs = G.multiply(G.multiply(commutator(G, a, c), ab), commutator(G, ab, c))
-            assert G.equal(lhs, rhs), name
+            assert lhs == rhs, name
             ac = commutator(G, a, c)
             lhs2 = commutator(G, G.multiply(a, b), c)
             rhs2 = G.multiply(G.multiply(ac, commutator(G, ac, b)), commutator(G, b, c))
-            assert G.equal(lhs2, rhs2), name
+            assert lhs2 == rhs2, name
             identity_checks += 1
     return {
         "ok": identity_checks == 5000,

@@ -152,11 +152,11 @@ def test_commutator_identities_all_groups():
             rhs = G.multiply(
                 G.multiply(commutator(G, a, c), ab), commutator(G, ab, c)
             )
-            assert G.equal(lhs, rhs)
+            assert lhs == rhs
             lhs2 = commutator(G, G.multiply(a, b), c)
             ac = commutator(G, a, c)
             rhs2 = G.multiply(G.multiply(ac, commutator(G, ac, b)), commutator(G, b, c))
-            assert G.equal(lhs2, rhs2)
+            assert lhs2 == rhs2
 
 
 # -- word evaluation -----------------------------------------------------------------
@@ -358,9 +358,6 @@ class UT4:
             g = self.multiply(g, g)
             n >>= 1
         return out
-
-    def equal(self, g, h) -> bool:
-        return g == h
 
     def center_embed(self, z):
         kept = len(self.positions) - self.top
@@ -569,10 +566,10 @@ def test_solve_divisible_factors_each_system_once(monkeypatch):
     # every level of the recursion solves over its centre with the word
     # system's exponent matrix: one column Hermite reduction serves them all,
     # and only a singular system runs is_nonsingular, for its witness
-    from groupeq import nilpotent, solve_abelian
+    from groupeq import nilpotent, solve_abelian, systems
 
     calls = []
-    hermite, nonsingular = solve_abelian._column_hermite, is_nonsingular
+    hermite, nonsingular = systems._column_hermite, is_nonsingular
 
     def counted_hermite(rows):
         calls.append("hermite")
@@ -582,9 +579,9 @@ def test_solve_divisible_factors_each_system_once(monkeypatch):
         calls.append("is_nonsingular")
         return nonsingular(M)
 
-    monkeypatch.setattr(solve_abelian, "_column_hermite", counted_hermite)
-    # either module may bind is_nonsingular; a check in either one counts
-    for module in (nilpotent, solve_abelian):
+    # any of these modules may bind either function; a call through any one counts
+    for module in (nilpotent, solve_abelian, systems):
+        monkeypatch.setattr(module, "_column_hermite", counted_hermite, raising=False)
         monkeypatch.setattr(module, "is_nonsingular", counted_nonsingular, raising=False)
     ut4 = UT4(Summand.rational())
     for G, key in ((HQ, "t3"), (ut4, "ut4q")):

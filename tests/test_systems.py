@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from groupeq.abelian import AbelianGroupDescriptor, Summand
-from groupeq.errors import NotPiNonsingular, ParseError
+from groupeq.errors import ParseError, Singular
 from groupeq.systems import (
     AbelianEquation,
     AbelianSystem,
@@ -581,8 +581,9 @@ def test_column_hermite_is_pinned(rows, expected):
 
 
 def test_column_hermite_rejects_singular():
-    with pytest.raises(NotPiNonsingular):
+    with pytest.raises(Singular) as exc:
         _column_hermite([[1, 2], [2, 4]])
+    assert exc.value.witness == is_nonsingular([[1, 2], [2, 4]])[1] == [2, -1]
 
 
 # -- verify_solution ------------------------------------------------------------------------
