@@ -38,6 +38,13 @@ from .intmath import check_prime
 # -- equations ----------------------------------------------------------------
 
 
+def _check_int(value, what: str) -> None:
+    """ValueError unless value is an int: a float, Fraction, string or bool is
+    refused, not truncated or parsed."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Const:
     """A literal group coefficient inside a word."""
@@ -47,12 +54,13 @@ class Const:
 
 @dataclass(frozen=True)
 class VarPow:
-    """A literal x**exp inside a word; exp is a nonzero integer."""
+    """A literal x**exp inside a word; exp is a nonzero int."""
 
     var: str
     exp: int
 
     def __post_init__(self):
+        _check_int(self.exp, "a variable exponent")
         if self.exp == 0:
             raise ValueError("variable literals must have nonzero exponent")
 
@@ -76,7 +84,9 @@ class AbelianEquation:
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: dict[str, int], rhs: GroupElement):
-        self.coeffs = {v: int(k) for v, k in coeffs.items() if int(k) != 0}
+        for k in coeffs.values():
+            _check_int(k, "a coefficient")
+        self.coeffs = {v: k for v, k in coeffs.items() if k != 0}
         self.rhs = rhs
 
     def variables(self) -> set[str]:
@@ -168,8 +178,13 @@ def _exponent_matrix(equations, variables=None) -> list[list[int]]:
 
 
 def _dense(M) -> list[list[int]]:
-    """The rows of M as lists of ints; rows of different lengths are a ValueError."""
-    rows = [list(map(int, row)) for row in M]
+    """The rows of M as lists; an entry that is not an int, or rows of
+    different lengths, are a ValueError."""
+    rows = [list(row) for row in M]
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                _check_int(x, "a matrix entry")
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows differ in length")
     return rows

@@ -7,12 +7,14 @@ imports groupeq from SRC_DIR (a checkout's ``src``) and prints one line,
 Run it on two trees in separate processes; equal lines mean the two trees
 gave the same answers and the same refusals on the whole corpus.
 
-An answer is recorded with the type and value of every coordinate, a
-refusal with its exception type, message, prime, witness and divisors.  The
-corpus covers the four public abelian solvers on random bounded and on mixed
-cyclic/Prüfer/Q systems, ``EchelonState`` checkpoints with an injected
-dependent row, the nilpotent solvers on Heisenberg groups and abelian
-handles, ``classify_matrix`` JSON, ``divide_exact`` and ``combine``, and the
+An answer is recorded with the type and value of every coordinate and with
+its ``Solution.to_json()`` text, a refusal with its exception type, message,
+prime, witness and divisors.  The corpus covers the four public abelian
+solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
+``EchelonState`` checkpoints with an injected dependent row, the nilpotent
+solvers on Heisenberg groups and abelian handles, ``brute_force_group_solve``
+on the H(Z/2) systems carried to its multiplication table,
+``classify_matrix`` JSON, ``divide_exact`` and ``combine``, and the
 counterexample reports.  Everything is drawn from string-seeded generators,
 so a tree's line does not change from run to run.
 
@@ -44,8 +46,9 @@ class Corpus:
         self.lines.append(f"{tag} {text}")
 
     def run(self, tag: str, fn, *args) -> object:
-        """Record fn(*args): a Solution's assignment, another value's text, or
-        the GroupEqError it raised.  Returns the value, or None on a refusal."""
+        """Record fn(*args): a Solution's assignment and JSON text, another
+        value's text, or the GroupEqError it raised.  Returns the value, or
+        None on a refusal."""
         from groupeq.errors import GroupEqError
 
         try:
@@ -57,7 +60,8 @@ class Corpus:
             self.record(tag, f"{type(exc).__name__} {exc} {fields!r}")
             return None
         if hasattr(out, "assignment"):
-            self.record(tag, " ".join(f"{k}={_value(v)}" for k, v in sorted(out.assignment.items())))
+            values = " ".join(f"{k}={_value(v)}" for k, v in sorted(out.assignment.items()))
+            self.record(tag, f"{values} {json.dumps(out.to_json(), sort_keys=True)}")
         else:
             self.record(tag, _value(out))
         return out
@@ -144,7 +148,9 @@ def nilpotent_corpus(c: Corpus) -> None:
     from groupeq.abelian import AbelianGroupDescriptor, Summand
     from groupeq.nilpotent import (
         AbelianHandle,
+        TableGroup,
         WordSystem,
+        brute_force_group_solve,
         heisenberg_mod,
         heisenberg_q,
         solve_nilpotent_bounded,
@@ -155,6 +161,19 @@ def nilpotent_corpus(c: Corpus) -> None:
         random_nonsingular_word_system,
         random_unimodular_word_system,
     )
+    from groupeq.systems import Const, GroupEquation
+
+    table = TableGroup.from_handle(heisenberg_mod(2, 1))
+
+    def run_on_table(tag, system):
+        """brute_force_group_solve on an H(Z/2) system carried to ``table``."""
+        equations = [
+            GroupEquation(
+                [Const(table.index_of(lit.value)) if isinstance(lit, Const) else lit for lit in eq.word]
+            )
+            for eq in system.equations
+        ]
+        c.run(tag, brute_force_group_solve, WordSystem(table, equations, system.variables))
 
     bounded = [heisenberg_mod(p, e) for p, e in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1))]
     bounded.append(AbelianHandle(AbelianGroupDescriptor([Summand.cyclic(2, 2), Summand.cyclic(3, 1)])))
@@ -167,6 +186,8 @@ def nilpotent_corpus(c: Corpus) -> None:
             system = random_unimodular_word_system(G, f"fp-hb:{i}", max_eqs=3, max_vars=4)
             c.run(f"nil {G!r} {i}", solve_nilpotent_bounded, system)
             c.run(f"nil {G!r} {i} divisible", solve_nilpotent_divisible, system)
+            if G is bounded[0]:
+                run_on_table(f"table {i}", system)
     for G in divisible:
         for i in range(150):
             system = random_nonsingular_word_system(G, f"fp-hq:{i}", max_eqs=3, max_vars=4)
@@ -181,6 +202,8 @@ def nilpotent_corpus(c: Corpus) -> None:
             system = WordSystem(G, _words_from_matrix(G, rng, rows, variables), variables)
             c.run(f"raw {G!r} {i} bounded", solve_nilpotent_bounded, system)
             c.run(f"raw {G!r} {i} divisible", solve_nilpotent_divisible, system)
+            if G is bounded[0]:
+                run_on_table(f"raw table {i}", system)
 
 
 def matrix_corpus(c: Corpus) -> None:

@@ -56,6 +56,13 @@ def test_descriptor_mismatch():
         A.element([1]) + B.element([1])
 
 
+def test_element_needs_one_coordinate_per_summand():
+    A = descr(Z(2, 1), Summand.rational())
+    for coords in ([], [1], [1, 0, 0]):
+        with pytest.raises(DescriptorMismatch, match=f"expected 2 coordinates, got {len(coords)}"):
+            A.element(coords)
+
+
 def test_prufer_coordinate_canonical():
     P = descr(Summand.prufer(2))
     assert P.element([Fraction(5, 4)]).coords == (Fraction(1, 4),)

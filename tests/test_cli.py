@@ -419,6 +419,23 @@ def test_solve_table_group(files, capsys):
     assert _json.loads(out)["solution"]["x"] == table.invert(g)
 
 
+def test_solve_table_group_search_exhausted_exit_3(files, capsys):
+    # x**2 is the identity of Z/2 for every x, so x**2 * 1 = 1 has no solution
+    group = files("g.json", Z2_TABLE)
+    system = files("s.json", X_TIMES_C % ("2", "1"))
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (3, "")
+    assert err == "GroupEqError: table group search exhausted: no solution\n"
+
+
+@pytest.mark.parametrize("group, const", [(Z2_TABLE, "1"), (HEISENBERG_3, '["1","0","0"]')])
+def test_solve_zero_word_exponent_exit_2(files, capsys, group, const):
+    group, system = files("g.json", group), files("s.json", X_TIMES_C % ("0", const))
+    code, out, err = run(capsys, "solve", "--group", group, "--system", system)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: malformed input (variable literals must have nonzero exponent)")
+
+
 def test_demo_pbad_table(capsys):
     code, out, _ = run(capsys, "demo", "pbad", "--p", "2", "--depth", "5")
     assert code == 0

@@ -269,6 +269,13 @@ def test_solve_bounded_rejects_non_unimodular():
     assert exc.value.divisors == [2]
 
 
+def test_solve_bounded_rejects_an_unbounded_group():
+    # x = g is unimodular, but Heisenberg(Q) has no bounded period
+    system = WordSystem(HQ, [GroupEquation([VarPow("x", 1), Const(HQ.element(1, 0, 0))])])
+    with pytest.raises(UnsupportedGroup, match="group period is not bounded"):
+        solve_nilpotent_bounded(system)
+
+
 def test_solve_bounded_random_vs_brute_force():
     table = TableGroup.from_handle(H3)
     for i in range(40):
@@ -698,6 +705,34 @@ def test_table_group_rejects_broken_tables():
         TableGroup([[0, 1], [1, 1]])  # 1 has no inverse
     with pytest.raises(ValueError):
         TableGroup([[1, 0], [1, 0]])  # no identity
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 0], [0, 1]], [[0, 1], [1]], [[0, 1, 2]]])
+def test_table_group_rejects_non_square_tables(table):
+    with pytest.raises(ValueError, match="multiplication table must be square"):
+        TableGroup(table)
+
+
+def test_table_group_rejects_a_non_associative_loop():
+    # a Latin square with identity 0 and unique inverses: a loop, not a group
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match=r"table is not associative at \(1, 1, 2\)"):
+        TableGroup(loop)
+
+
+def test_brute_force_group_refuses_a_constant_word_that_is_not_the_identity():
+    table = TableGroup.from_handle(H2)
+    g = table.index_of((1, 0, 1))
+    system = WordSystem(
+        table,
+        [GroupEquation([VarPow("x", 1)]), GroupEquation([Const(g)])],
+        variables=["x"],
+    )
+    assert brute_force_group_solve(system) is None
+    # a constant word equal to the identity constrains nothing
+    e = table.identity()
+    system = WordSystem(table, [GroupEquation([Const(e), Const(e)])], variables=["x"])
+    assert brute_force_group_solve(system)["x"] == e
 
 
 def test_brute_force_group_examples():

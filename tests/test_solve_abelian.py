@@ -403,6 +403,34 @@ def test_stream_rejects_unbounded_group():
         EchelonState(descr(Summand.prufer(2)))
 
 
+def test_stream_refuses_an_equation_over_another_group():
+    A, B = descr(Z(2, 1)), descr(Z(3, 1))
+    state = EchelonState(A).ingest(AbelianEquation({"x": 1}, A.element([1])))
+    with pytest.raises(UnsupportedGroup, match="equation over a different group"):
+        state.ingest(AbelianEquation({"y": 1}, B.element([1])))
+    assert state.count == 1
+    assert state.solution()["x"] == A.element([1])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [descr(Z(2, 2)), descr(Z(2, 1), Z(3, 1)), descr(Summand.rational()), descr(Z(2, 1), Summand.prufer(2))],
+    ids=["Z4", "Z2+Z3", "Q", "Z2+Prufer2"],
+)
+def test_solve_mod_p_needs_every_summand_equal_to_z_p(group):
+    with pytest.raises(UnsupportedGroup, match="solve_mod_p needs every summand equal to Z/p"):
+        solve_mod_p(AbelianSystem(group, [AbelianEquation({"x": 1}, group.zero())]))
+
+
+@pytest.mark.parametrize(
+    "group", [descr(Z(2, 1)), descr(Summand.rational(), Z(3, 1)), descr(Summand.integer())],
+    ids=["Z2", "Q+Z3", "Z"],
+)
+def test_solve_divisible_needs_every_summand_divisible(group):
+    with pytest.raises(UnsupportedGroup, match="solve_divisible needs every summand divisible"):
+        solve_divisible(AbelianSystem(group, [AbelianEquation({"x": 1}, group.zero())]))
+
+
 def test_stream_agrees_with_round_lifting():
     # the echelon engine (incremental and batch) against the paper's literal
     # round-by-round lifting, run on each primary component: free variables
@@ -485,6 +513,19 @@ def test_brute_force_examples():
 
     B = descr(Z(2, 2))
     assert brute_force_solve(system_of(B, [[2]], [B.element([1])], ["x"])) is None
+
+
+def test_brute_force_refuses_a_variable_free_equation_with_nonzero_rhs():
+    A = descr(Z(2, 1), Z(3, 1))
+    system = AbelianSystem(
+        A,
+        [AbelianEquation({"x": 1}, A.zero()), AbelianEquation({"x": 0}, A.element([0, 2]))],
+        variables=["x"],
+    )
+    assert brute_force_solve(system) is None
+    # with a zero rhs the same equation constrains nothing
+    system = AbelianSystem(A, [AbelianEquation({}, A.zero())], variables=["x"])
+    assert brute_force_solve(system)["x"] == A.zero()
 
 
 def test_brute_force_too_large():

@@ -151,6 +151,29 @@ def test_ragged_rows_are_refused(rows):
             classifier(rows)
 
 
+def test_non_integer_entries_are_refused_not_truncated():
+    Q = AbelianGroupDescriptor([Summand.rational()])
+    # [[1/2]] is nonsingular over Q: truncating it to [[0]] would call it
+    # singular, and 2.9 truncated to 2 would call [[2.9]] 2-singular
+    for bad in (0.5, 2.9, Fraction(3, 2), "7", True):
+        for classifier in (
+            is_nonsingular,
+            functools.partial(is_p_nonsingular, p=2),
+            elementary_divisors,
+            is_unimodular,
+            classify_matrix,
+        ):
+            with pytest.raises(ValueError, match="must be an int"):
+                classifier([[bad, 1]])
+        with pytest.raises(ValueError, match="must be an int"):
+            AbelianEquation({"x": bad}, Q.zero())
+        with pytest.raises(ValueError, match="must be an int"):
+            VarPow("x", bad)
+    # ints of any size, and tuples of them, pass unchanged
+    assert is_nonsingular(((10**30, 1),)) == (True, None)
+    assert AbelianEquation({"x": -(10**30), "y": 0}, Q.zero()).coeffs == {"x": -(10**30)}
+
+
 def test_prime_diagonal_is_nonsingular_but_p_singular():
     primes = [2, 3, 5, 7, 11, 13]
     M = [[primes[i] if i == j else 0 for j in range(6)] for i in range(6)]
