@@ -183,7 +183,7 @@ def _dense(M) -> list[list[int]]:
     rows = [list(row) for row in M]
     for row in rows:
         for x in row:
-            if type(x) is not int:
+            if type(x) is not int:  # tested inline: a call per entry doubles the time
                 _check_int(x, "a matrix entry")
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows differ in length")

@@ -35,7 +35,11 @@ SEEDS = {
         ["solve", "--group", "group.json", "--system", "system.json"],
         {
             "group.json": {
-                "summands": [{"kind": "cyclic", "p": 2, "e": 2}, {"kind": "prufer", "p": 3}, {"kind": "q"}]
+                "summands": [
+                    {"kind": "cyclic", "p": 2, "e": 2},
+                    {"kind": "prufer", "p": 3},
+                    {"kind": "q"},
+                ]
             },
             "system.json": {
                 "vars": ["x", "y"],
@@ -52,7 +56,13 @@ SEEDS = {
             "group.json": {"kind": "heisenberg", "ring": {"kind": "mod", "p": 3, "e": 2}},
             "system.json": {
                 "equations": [
-                    {"word": [{"var": "x", "exp": 1}, {"const": ["1", "2", "0"]}, {"var": "y", "exp": -1}]},
+                    {
+                        "word": [
+                            {"var": "x", "exp": 1},
+                            {"const": ["1", "2", "0"]},
+                            {"var": "y", "exp": -1},
+                        ]
+                    },
                     {"word": [{"var": "y", "exp": 1}, {"const": ["0", "1", "4"]}]},
                 ]
             },
@@ -94,7 +104,11 @@ SEEDS = {
     ),
     "stream-group": (
         ["stream", "--group", "group.json", "--depths", "5,12"],
-        {"group.json": {"summands": [{"kind": "cyclic", "p": 2, "e": 3}, {"kind": "cyclic", "p": 3, "e": 1}]}},
+        {
+            "group.json": {
+                "summands": [{"kind": "cyclic", "p": 2, "e": 3}, {"kind": "cyclic", "p": 3, "e": 1}]
+            }
+        },
     ),
 }
 

@@ -414,7 +414,12 @@ def test_stream_refuses_an_equation_over_another_group():
 
 @pytest.mark.parametrize(
     "group",
-    [descr(Z(2, 2)), descr(Z(2, 1), Z(3, 1)), descr(Summand.rational()), descr(Z(2, 1), Summand.prufer(2))],
+    [
+        descr(Z(2, 2)),
+        descr(Z(2, 1), Z(3, 1)),
+        descr(Summand.rational()),
+        descr(Z(2, 1), Summand.prufer(2)),
+    ],
     ids=["Z4", "Z2+Z3", "Q", "Z2+Prufer2"],
 )
 def test_solve_mod_p_needs_every_summand_equal_to_z_p(group):
