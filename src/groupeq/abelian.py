@@ -96,10 +96,23 @@ class Summand:
         return self.kind in (CYCLIC, PRUFER)
 
     def canon(self, c):
-        """Coordinate c in its canonical form; a canonical c comes back unchanged."""
-        if self.kind == CYCLIC:
-            return int(c) % self.modulus
-        if self.kind == PRUFER:
+        """Coordinate c in its canonical form; a canonical c comes back unchanged.
+        A cyclic or integer coordinate must be an int, a Prüfer or rational one
+        an int or a Fraction; anything else, bools included, is a ValueError,
+        not truncated or parsed."""
+        kind = self.kind
+        if kind == CYCLIC:
+            if type(c) is int:
+                return c % self.modulus
+        elif kind == RATIONAL:
+            if type(c) is Fraction:
+                return c
+            if type(c) is int:
+                return Fraction(c)
+        elif kind == INTEGER:
+            if type(c) is int:
+                return c
+        elif type(c) is int or type(c) is Fraction:
             f = Fraction(c)
             f = Fraction(f.numerator % f.denominator, f.denominator)
             d = f.denominator
@@ -108,9 +121,8 @@ class Summand:
             if d != 1:
                 raise ValueError(f"{c} is not a valid Prufer({self.p}) coordinate")
             return f
-        if self.kind == RATIONAL:
-            return c if type(c) is Fraction else Fraction(c)
-        return int(c)
+        what = "an int" if kind == CYCLIC or kind == INTEGER else "an int or a Fraction"
+        raise ValueError(f"a {self!r} coordinate must be {what}, got {c!r}")
 
     def __repr__(self) -> str:
         if self.kind == CYCLIC:

@@ -388,12 +388,16 @@ class TableGroup:
     MAX_ORDER = 512
 
     def __init__(self, table, elements=None):
-        self.table = [list(map(int, row)) for row in table]
+        self.table = [list(row) for row in table]
         self.order = len(self.table)
         if self.order > self.MAX_ORDER:
             raise UnsupportedGroup(f"table groups are capped at order {self.MAX_ORDER}")
         if any(len(row) != self.order for row in self.table):
             raise ValueError("multiplication table must be square")
+        for row in self.table:
+            for x in row:
+                if type(x) is not int:  # a float, string or bool is refused, not converted
+                    raise ValueError(f"table entries must be ints, got {x!r}")
         if any(not 0 <= x < self.order for row in self.table for x in row):
             raise ValueError(f"table entries must lie in range({self.order})")
         self.source_elements = list(elements) if elements is not None else None

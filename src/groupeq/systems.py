@@ -3,9 +3,13 @@ variable) and their exact classification: nonsingular / p-nonsingular / unimodul
 
 Rank over Q uses Bareiss's fraction-free elimination, whose last pivot row
 holds rank x rank minors; rank mod p uses elimination over the field of p
-elements.  Elementary divisors, and with them unimodularity, come from a
-Smith form over the integers modulo the gcd of those minors, which covers
-all primes at once without factoring and without building transforms.  The
+elements, on rows packed into one int each.  Elementary divisors, and with
+them unimodularity, cover all primes at once without factoring and without
+building transforms.  For a square nonsingular M a certificate from the
+Bareiss pass (back substitution on a few fixed vectors, giving adj(M)*c)
+decides the common case [1, ..., 1, |det M|] outright and otherwise bounds
+every divisor but the last; a Smith form over the integers modulo that bound,
+or modulo the gcd of the minors for any other M, finds the rest.  The
 divisible solver needs only _column_hermite, a column Hermite form
 M*V = [L | 0], which refuses a singular system with Singular and the witness
 of is_nonsingular.
@@ -20,6 +24,8 @@ block ends as V.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -194,12 +200,14 @@ def _rank_over_q(rows):
     """Fraction-free (Bareiss) elimination over Q of the rows extended by the
     identity, [M | I], so each row carries its combination of the input rows.
 
-    Returns (rank, modulus, witness).  By Sylvester's identity every entry of
-    a Bareiss row is a minor of M, so the last pivot row holds rank x rank
-    minors in its first n entries, and their gcd, the modulus, is a positive
-    multiple of s_1 * ... * s_rank (|det M| when M is square and nonsingular;
-    1 when the rank is 0).  witness is a nonzero integer combination of the
-    rows equal to the zero row, or None when the rows are independent.
+    Returns (rank, modulus, witness, work).  By Sylvester's identity every
+    entry of a Bareiss row is a minor of M, so the last pivot row holds
+    rank x rank minors in its first n entries, and their gcd, the modulus, is
+    a positive multiple of s_1 * ... * s_rank (|det M| when M is square and
+    nonsingular; 1 when the rank is 0).  witness is a nonzero integer
+    combination of the rows equal to the zero row, or None when the rows are
+    independent.  work is the eliminated [U | F]: F*M = U, and the first rank
+    rows of U are in echelon form with the pivots on their leading entries.
     """
     k = len(rows)
     n = len(rows[0]) if rows else 0
@@ -221,14 +229,14 @@ def _rank_over_q(rows):
         r += 1
     modulus = math.gcd(*work[r - 1][:n]) if r else 1
     if r == k:
-        return r, modulus, None
+        return r, modulus, None, work
     witness = work[r][n:]
     g = math.gcd(*witness)
     witness = [w // g for w in witness]
     lead = next(w for w in witness if w != 0)
     if lead < 0:
         witness = [-w for w in witness]
-    return r, modulus, witness
+    return r, modulus, witness, work
 
 
 def is_nonsingular(M):
@@ -238,7 +246,7 @@ def is_nonsingular(M):
     combination of the rows equal to the zero row.
     """
     rows = _dense(M)
-    rank, _, witness = _rank_over_q(rows)
+    rank, _, witness, _ = _rank_over_q(rows)
     return rank == len(rows), witness
 
 
@@ -246,29 +254,53 @@ def is_p_nonsingular(M, p: int):
     """True iff the rows reduced mod p are independent over the field of p
     elements.  On failure returns a witness combination, coefficients in
     [0, p) and not all zero mod p: the eliminated rows are extended by the
-    identity, [M | I] mod p, and the first zero row carries its combination."""
+    identity, [M | I] mod p, and the first zero row carries its combination.
+
+    A row of [M | I] mod p is one int, W bits an entry, column j at bit j*W;
+    eliminated columns are shifted out, so column c sits at bit 0 when its
+    turn comes.  A row step adds p - q times the pivot row, which keeps every
+    entry below p**2, and then reduces all entries at once by a multiply-shift
+    quotient (Granlund & Montgomery, PLDI 1994): for s = bits(p**2) + bits(p)
+    and magic = ceil(2**s / p), x // p = (x * magic) >> s for x < p**2, and
+    W = bits(p**2) + bits(magic) + 1 keeps each x * magic inside its entry.
+    """
     check_prime(p)
     rows = _dense(M)
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    work = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    s = (p * p).bit_length() + p.bit_length()
+    magic = -(-(1 << s) // p)
+    W = (p * p).bit_length() + magic.bit_length() + 1
+    entry = (1 << W) - 1
+    # the low W - s bits of every entry, where the quotients land after >> s
+    quotients = ((1 << (W - s)) - 1) * (((1 << ((n + k) * W)) - 1) // entry)
+    work = []
+    for i, row in enumerate(rows):
+        packed = 0
+        for x in reversed(row):
+            packed = (packed << W) | (x % p)
+        work.append(packed | 1 << ((n + i) * W))
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
+        pivot = next((i for i in range(r, k) if work[i] & entry), None)
         if pivot is None:
+            for i in range(r, k):
+                work[i] >>= W
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], -1, p)
+        top = work[r]
+        inv = pow(top & entry, -1, p)
         for i in range(r + 1, k):
-            a = work[i][c]
-            if a == 0:
-                continue
-            q = (a * inv) % p
-            work[i] = [(x - q * y) % p for x, y in zip(work[i], work[r])]
+            x = work[i]
+            a = x & entry
+            if a:
+                x += (p - a * inv % p) * top
+                x -= p * (((x * magic) >> s) & quotients)
+            work[i] = x >> W
         r += 1
     if r == k:
         return True, None
-    return False, work[r][n:]
+    return False, [(work[r] >> (j * W)) & entry for j in range(k)]
 
 
 def _xgcd(a: int, b: int):
@@ -282,14 +314,15 @@ def _xgcd(a: int, b: int):
 
 
 def _divisors_mod(rows, rank: int, modulus: int) -> list[int]:
-    """The nonzero elementary divisors s_1 | ... | s_rank of an integer matrix
-    of the given rank, where modulus is a positive multiple of
-    d_rank = s_1 * ... * s_rank, such as the gcd of some rank x rank minors.
+    """gcd(s_i, modulus) for the nonzero elementary divisors s_1 | ... |
+    s_rank of an integer matrix of the given rank: the divisors themselves
+    when modulus is a positive multiple of d_rank = s_1 * ... * s_rank, such
+    as the gcd of some rank x rank minors.
 
-    Every s_i divides d_rank, which divides modulus, so the Smith form over
-    Z/modulus has invariants (s_1), ..., (s_rank), (0), ...; the rank tells an
-    s_rank equal to modulus apart from a zero invariant.  Entries stay below
-    modulus, and no transform is built.
+    The Smith form over Z/modulus has the invariants (gcd(s_1, modulus)),
+    ..., (gcd(s_rank, modulus)), (0), ...; the rank tells an invariant equal
+    to modulus apart from a zero one.  Entries stay below modulus, and no
+    transform is built.
     """
     m = modulus
     if m == 1:
@@ -355,11 +388,57 @@ def _divisors_mod(rows, rank: int, modulus: int) -> list[int]:
     return diagonal[:rank]
 
 
+def _divisor_certificate(work) -> int:
+    """For a square nonsingular k x k matrix M with Bareiss [U | F], a
+    divisor g of |det M| that s_1 * ... * s_(k-1) divides; g = 1 certifies
+    the elementary divisors [1, ..., 1, |det M|].
+
+    The last pivot D of U is +-det M.  For an integer vector c,
+    back-substitution in U*y = D*F*c gives y = D*M^-1*c = +-adj(M)*c, which
+    is integral, so every division is exact.  With M = P*diag(s)*Q for
+    unimodular P and Q, s_k*M^-1 is integral, so every denominator of
+    M^-1*c = y/D divides s_k.  With g the gcd of D and the entries of every
+    y, the lcm of those denominators is |D|/g, so s_k is a multiple of |D|/g
+    and s_1 * ... * s_(k-1) = |D|/s_k divides g (Pan 1988; Abbott, Bronstein
+    & Mulders, ISSAC 1999).  Up to three c are tried, until g = 1; their
+    32-bit entries are drawn from Random(0), Random(1) and Random(2), so no
+    two are multiples of one another.
+    """
+    k = len(work)
+    g = D = work[-1][k - 1]
+    for t in range(3):
+        rng = random.Random(t)
+        c = [rng.getrandbits(32) for _ in range(k)]
+        y = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = work[i]
+            b = D * sum(map(operator.mul, row[k:], c))
+            y[i] = (b - sum(map(operator.mul, row[i + 1 : k], y[i + 1 :]))) // row[i]
+        g = math.gcd(g, *y)
+        if g == 1:
+            break
+    return g
+
+
+def _divisors(rows, rank: int, modulus: int, work) -> list[int]:
+    """The nonzero elementary divisors from _rank_over_q's results.  For a
+    square nonsingular M with modulus |det M| above 1, s_1, ..., s_(k-1) come
+    from _divisors_mod modulo the certificate's g, unless g = 1, and s_k is
+    the modulus over their product."""
+    if modulus > 1 and rank == len(rows) == len(rows[0]):
+        g = _divisor_certificate(work)
+        if g == 1:
+            return [1] * (rank - 1) + [modulus]
+        head = _divisors_mod(rows, rank, g)[:-1]
+        return head + [modulus // math.prod(head)]
+    return _divisors_mod(rows, rank, modulus)
+
+
 def elementary_divisors(M) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     rows = _dense(M)
-    rank, modulus, _ = _rank_over_q(rows)
-    return _divisors_mod(rows, rank, modulus)
+    rank, modulus, _, work = _rank_over_q(rows)
+    return _divisors(rows, rank, modulus, work)
 
 
 def is_unimodular(M) -> bool:
@@ -399,9 +478,9 @@ class SingularityReport:
 
 def classify_matrix(M, primes=()) -> SingularityReport:
     rows = _dense(M)
-    rank, modulus, witness = _rank_over_q(rows)
+    rank, modulus, witness, work = _rank_over_q(rows)
     report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
-    report.divisors = _divisors_mod(rows, rank, modulus)
+    report.divisors = _divisors(rows, rank, modulus, work)
     report.unimodular = report.divisors == [1] * len(rows)
     # rank mod p is the number of divisors prime to p, so only a p-singular
     # prime needs an elimination mod p, for its witness

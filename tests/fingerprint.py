@@ -14,7 +14,8 @@ solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
 ``EchelonState`` checkpoints with an injected dependent row, the nilpotent
 solvers on Heisenberg groups and abelian handles, ``brute_force_group_solve``
 on the H(Z/2) systems carried to its multiplication table,
-``classify_matrix`` JSON, ``divide_exact`` and ``combine``, and the
+``classify_matrix`` JSON on small matrices and on square and wide ones up
+to 30 x 34, ``divide_exact`` and ``combine``, and the
 counterexample reports.  Everything is drawn from string-seeded generators,
 so a tree's line does not change from run to run.
 
@@ -215,6 +216,23 @@ def matrix_corpus(c: Corpus) -> None:
         k, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
         c.run(f"classify {i}", lambda: json.dumps(classify_matrix(rows, (2, 3, 5)).to_json(), sort_keys=True))
+
+    # square and wide k = 10..30: a quarter rank-deficient, a quarter with a
+    # row multiplied by p, so that the divisor certificate both decides and
+    # falls back, and the eliminations mod p return witnesses
+    primes = (2, 3, 5, 7, 11, 65537)
+    for i in range(120):
+        rng = random.Random(f"fp-large:{i}")
+        k = rng.randint(10, 30)
+        n = k + (i % 2) * rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        if i % 4 == 2:
+            a, b = rng.sample(range(k - 1), 2)
+            rows[-1] = [x - y for x, y in zip(rows[a], rows[b])]
+        elif i % 4 == 3:
+            p = rng.choice(primes)
+            rows[rng.randrange(k)] = [p * x for x in rows[rng.randrange(k)]]
+        c.run(f"classify large {i}", lambda: json.dumps(classify_matrix(rows, primes).to_json(), sort_keys=True))
 
     for i in range(400):
         rng = random.Random(f"fp-divide:{i}")

@@ -10,6 +10,8 @@ another route, so an agreement between the two is evidence for both:
 * ``smith_normal_form`` — U*M*V = D with both transforms, against the
   divisors that ``elementary_divisors`` and ``classify_matrix`` compute
   without transforms.
+* ``is_p_nonsingular`` — elimination mod p on [M | I] with a list per row,
+  against the library's elimination on rows packed into one int each.
 * ``center_of`` — the center of a table group by brute-force centralizer
   intersection, against the center each handle declares.
 
@@ -131,6 +133,35 @@ def solve_p_group(system: AbelianSystem) -> Solution:
 
     assignment = {v: A.element(acc[v]) for v in system.variables}
     return _checked(system, assignment)
+
+
+def is_p_nonsingular(M, p: int):
+    """True iff the rows reduced mod p are independent over the field of p
+    elements.  On failure returns a witness combination, coefficients in
+    [0, p) and not all zero mod p: the eliminated rows are extended by the
+    identity, [M | I] mod p, and the first zero row carries its combination."""
+    check_prime(p)
+    rows = _dense(M)
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    work = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = pow(work[r][c], -1, p)
+        for i in range(r + 1, k):
+            a = work[i][c]
+            if a == 0:
+                continue
+            q = (a * inv) % p
+            work[i] = [(x - q * y) % p for x, y in zip(work[i], work[r])]
+        r += 1
+    if r == k:
+        return True, None
+    return False, work[r][n:]
 
 
 def smith_normal_form(M):

@@ -63,6 +63,22 @@ def test_element_needs_one_coordinate_per_summand():
             A.element(coords)
 
 
+def test_coordinates_of_the_wrong_type_are_refused_not_converted():
+    A = descr(Z(2, 2), Summand.integer())
+    for bad in (2.7, "3", True, Fraction(2)):
+        for coords in ([bad, 0], [0, bad]):
+            with pytest.raises(ValueError, match="coordinate must be an int, got"):
+                A.element(coords)
+    D = descr(Summand.prufer(3), Summand.rational())
+    for bad in (0.5, "1/3", True):
+        for coords in ([bad, 0], [0, bad]):
+            with pytest.raises(ValueError, match="coordinate must be an int or a Fraction, got"):
+                D.element(coords)
+    # ints of any size and Fractions where they belong pass
+    assert A.element([-(10**30) - 1, 10**30]).coords == (3, 10**30)
+    assert D.element([Fraction(4, 3), 2]).coords == (Fraction(1, 3), Fraction(2))
+
+
 def test_prufer_coordinate_canonical():
     P = descr(Summand.prufer(2))
     assert P.element([Fraction(5, 4)]).coords == (Fraction(1, 4),)

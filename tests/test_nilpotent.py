@@ -713,6 +713,23 @@ def test_table_group_rejects_non_square_tables(table):
         TableGroup(table)
 
 
+@pytest.mark.parametrize(
+    "table", [[[0, 1.7], ["1", False]], [[0, 1], [1, 0.0]], [[0, 1], ["1", 0]], [[True]]]
+)
+def test_table_group_refuses_entries_that_are_not_ints(table):
+    with pytest.raises(ValueError, match="table entries must be ints, got"):
+        TableGroup(table)
+
+
+def test_heisenberg_element_refuses_coordinates_that_are_not_ints():
+    for coords in ((1.5, 2, 1), (1, "2", 1), (1, 2, True)):
+        with pytest.raises(ValueError, match="Z/3 coordinate must be an int"):
+            H3.element(*coords)
+    assert H3.element(4, -1, 3) == (1, 2, 0)
+    with pytest.raises(ValueError, match="Q coordinate must be an int or a Fraction"):
+        heisenberg_q().element(0.5, 0, 0)
+
+
 def test_table_group_rejects_a_non_associative_loop():
     # a Latin square with identity 0 and unique inverses: a loop, not a group
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from groupeq import systems
 from groupeq.abelian import AbelianGroupDescriptor, Summand
 from groupeq.errors import ParseError, Singular
+from groupeq.randgen import random_unimodular_matrix
 from groupeq.systems import (
     AbelianEquation,
     AbelianSystem,
@@ -29,6 +31,7 @@ from groupeq.systems import (
     parse_matrix_text,
     verify_solution,
 )
+from reference import is_p_nonsingular as is_p_nonsingular_on_lists
 from reference import smith_normal_form
 
 
@@ -222,6 +225,29 @@ def test_p_witness_vanishes_mod_p():
         assert all(sum(w * rows[i][j] for i, w in enumerate(witness)) % p == 0 for j in range(n))
 
 
+# 2**64 + 13 is the least prime above 2**64: entries and products then span
+# several machine words
+@pytest.mark.parametrize("p", [2, 3, 65537, 2**61 - 1, 2**64 + 13])
+def test_packed_p_elimination_matches_the_list_reference(p):
+    rng = random.Random(f"packed:{p}")
+    # empty, k x 0, 1 x n, tall, wide and square
+    shapes = [(0, 0), (3, 0), (1, 1), (1, 7), (7, 3), (3, 8), (6, 6)]
+    for k, n in shapes:
+        for t in range(25):
+            bound = rng.choice([1, 3, p, 5 * p])
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            if k >= 3 and t % 3:
+                # rank-deficient mod p: a row made from two others, plus p times
+                # anything when t % 3 == 2, so only mod p and not over Q
+                a, b = rng.sample(range(k - 1), 2)
+                q = rng.randint(-p, p)
+                pk = (t % 3 == 2) * p
+                rows[-1] = [x + q * y + pk * rng.randint(-2, 2) for x, y in zip(rows[a], rows[b])]
+            if k and t % 5 == 0:
+                rows[rng.randrange(k)] = [p * x for x in rows[rng.randrange(k)]]
+            assert is_p_nonsingular(rows, p) == is_p_nonsingular_on_lists(rows, p)
+
+
 # -- Smith normal form ------------------------------------------------------------------
 
 
@@ -323,6 +349,42 @@ def test_unimodular_vs_minor_gcd_oracle():
     assert corank2 >= 20
 
 
+def _smith_product(rng, diagonal):
+    """U * diag * V for random unimodular U and V."""
+    k = len(diagonal)
+    U, V = random_unimodular_matrix(rng, k, k), random_unimodular_matrix(rng, k, k)
+    D = [[diagonal[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    return mat_mul(mat_mul(U, D), V)
+
+
+def test_divisor_certificate_decides_without_the_smith_form(monkeypatch):
+    rng = random.Random("certificate")
+    # [1, ..., 1, d], which the certificate decides; then s_(k-1) > 1
+    cyclic = [[1] * (k - 1) + [d] for d in (7, 30, 2**40 + 15, 6561) for k in (1, 3, 6)]
+    other = [[1, 1, 2, 6], [1, 3, 9, 27], [2, 2, 4], [1, 1, 1, 5, 5 * 2**40]]
+    products = [(diagonal, _smith_product(rng, diagonal)) for diagonal in cyclic + other]
+    calls = []
+    divisors_mod = systems._divisors_mod
+
+    def counted(rows, rank, m):
+        calls.append(m)
+        return divisors_mod(rows, rank, m)
+
+    monkeypatch.setattr(systems, "_divisors_mod", counted)
+    for diagonal, M in products[: len(cyclic)]:
+        assert elementary_divisors(M) == snf_divisors(M) == diagonal
+        assert classify_matrix(M, (2, 3, 5)).divisors == diagonal
+    assert calls == []
+    # the Smith form runs once a call, modulo a divisor of |det M| that
+    # s_1 * ... * s_(k-1) divides
+    for diagonal, M in products[len(cyclic) :]:
+        calls.clear()
+        assert elementary_divisors(M) == snf_divisors(M) == diagonal
+        assert len(calls) == 1
+        assert math.prod(diagonal) % calls[0] == 0
+        assert calls[0] % math.prod(diagonal[:-1]) == 0
+
+
 def test_rank_and_minor_over_q():
     rng = random.Random("minor")
     for _ in range(200):
@@ -330,7 +392,7 @@ def test_rank_and_minor_over_q():
             rows = random_matrix(rng, kmax=5, nmax=5, bound=6)
         else:
             rows = low_rank_matrix(rng)
-        rank, modulus, witness = _rank_over_q(rows)
+        rank, modulus, witness, _ = _rank_over_q(rows)
         divisors = snf_divisors(rows)
         assert rank == len(divisors)
         assert (witness is None) == (rank == len(rows))
