@@ -14,11 +14,12 @@ divisible solver needs only _column_hermite, a column Hermite form
 M*V = [L | 0], which refuses a singular system with Singular and the witness
 of is_nonsingular.
 Failed classifications return a witness: a nonzero integer combination of
-rows that vanishes (mod p where applicable).  Each elimination keeps its
-transform inside the matrix it reduces: the row eliminations work on [M | I],
-so the first row that reduces to zero carries the witness in its last k
-entries, and the column Hermite form works on M stacked over I, so the lower
-block ends as V.
+rows that vanishes (mod p where applicable).  The Bareiss pass works on M
+alone and leaves its fraction-free LU factors in place, so the witness and
+the certificate's F*c come from substitution in them, not from a carried
+transform.  The elimination mod p works on [M | I], so the first row that
+reduces to zero carries the witness in its last k entries, and the column
+Hermite form works on M stacked over I, so the lower block ends as V.
 """
 
 from __future__ import annotations
@@ -197,46 +198,69 @@ def _dense(M) -> list[list[int]]:
 
 
 def _rank_over_q(rows):
-    """Fraction-free (Bareiss) elimination over Q of the rows extended by the
-    identity, [M | I], so each row carries its combination of the input rows.
+    """Fraction-free (Bareiss) elimination of M over Q.
 
-    Returns (rank, modulus, witness, work).  By Sylvester's identity every
-    entry of a Bareiss row is a minor of M, so the last pivot row holds
-    rank x rank minors in its first n entries, and their gcd, the modulus, is
-    a positive multiple of s_1 * ... * s_rank (|det M| when M is square and
-    nonsingular; 1 when the rank is 0).  witness is a nonzero integer
-    combination of the rows equal to the zero row, or None when the rows are
-    independent.  work is the eliminated [U | F]: F*M = U, and the first rank
-    rows of U are in echelon form with the pivots on their leading entries.
+    Returns (rank, modulus, witness, (work, order)).  Step r, with pivot p in
+    column c and the previous pivot prev, replaces each lower row by
+    (p * row - a * pivot row) / prev, a its column-c entry, on columns
+    c+1 ... n-1 only: its columns up to c are zero from then on, and are left
+    as they were.  By Sylvester's identity every entry of a Bareiss row is a
+    minor of M, so the last pivot row holds rank x rank minors from its pivot
+    column on, and their gcd, the modulus, is a positive multiple of
+    s_1 * ... * s_rank (|det M| when M is square and nonsingular; 1 when the
+    rank is 0).  work holds the pivot rows U in its first rank rows, each
+    final from its pivot column on; order[i] is the input row at position i.
+
+    The entries left of each pivot column are the a that each step read, so
+    work also holds the fraction-free LU factors P*M = L*diag(prev*p)^-1*U:
+    L is lower triangular with the pivots on its diagonal and the a of step
+    r in column r (Nakos, Turner & Williams 1997; Zhou & Jeffrey 2008).  So
+    the transform F with F*M = U is never built.  witness is F's row at
+    position rank, divided by its content and signed to a positive lead, or
+    None when the rows are independent: the unique combination of that row,
+    with the last pivot as its coefficient, and the pivot rows that vanishes,
+    which is f*L = 0, solved by back substitution in L.
     """
     k = len(rows)
     n = len(rows[0]) if rows else 0
-    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    work = [row[:] for row in rows]
+    order = list(range(k))
+    columns = []
     prev = 1
-    r = 0
     for c in range(n):
+        r = len(columns)
         pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
+        order[r], order[pivot] = order[pivot], order[r]
         p = work[r][c]
-        for i in range(r + 1, k):
-            a = work[i][c]
+        top = work[r][c + 1 :]
+        for row in work[r + 1 :]:
+            a = row[c]
             # a row with a = 0 is only rescaled by p / prev, a no-op when p = prev
             if a or p != prev:
-                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], work[r])]
+                row[c + 1 :] = [(p * x - a * y) // prev for x, y in zip(row[c + 1 :], top)]
         prev = p
-        r += 1
-    modulus = math.gcd(*work[r - 1][:n]) if r else 1
+        columns.append(c)
+    r = len(columns)
+    modulus = math.gcd(*work[r - 1][columns[-1] :]) if r else 1
     if r == k:
-        return r, modulus, None, work
-    witness = work[r][n:]
-    g = math.gcd(*witness)
+        return r, modulus, None, (work, order)
+    # f * L = 0 on positions 0..r with f[r] = prev, solved from the last pivot up
+    f = [0] * r + [prev]
+    for s in range(r - 1, -1, -1):
+        c = columns[s]
+        f[s] = -sum(f[i] * work[i][c] for i in range(s + 1, r + 1)) // work[s][c]
+    witness = [0] * k
+    for i, w in enumerate(f):
+        witness[order[i]] = w
+    g = math.gcd(*f)
     witness = [w // g for w in witness]
     lead = next(w for w in witness if w != 0)
     if lead < 0:
         witness = [-w for w in witness]
-    return r, modulus, witness, work
+    return r, modulus, witness, (work, order)
 
 
 def is_nonsingular(M):
@@ -388,19 +412,23 @@ def _divisors_mod(rows, rank: int, modulus: int) -> list[int]:
     return diagonal[:rank]
 
 
-def _divisor_certificate(work) -> int:
-    """For a square nonsingular k x k matrix M with Bareiss [U | F], a
-    divisor g of |det M| that s_1 * ... * s_(k-1) divides; g = 1 certifies
-    the elementary divisors [1, ..., 1, |det M|].
+def _divisor_certificate(work, order) -> int:
+    """For a square nonsingular k x k matrix M with Bareiss elimination
+    (work, order) from _rank_over_q, a divisor g of |det M| that
+    s_1 * ... * s_(k-1) divides; g = 1 certifies the elementary divisors
+    [1, ..., 1, |det M|].
 
-    The last pivot D of U is +-det M.  For an integer vector c,
-    back-substitution in U*y = D*F*c gives y = D*M^-1*c = +-adj(M)*c, which
-    is integral, so every division is exact.  With M = P*diag(s)*Q for
-    unimodular P and Q, s_k*M^-1 is integral, so every denominator of
-    M^-1*c = y/D divides s_k.  With g the gcd of D and the entries of every
-    y, the lcm of those denominators is |D|/g, so s_k is a multiple of |D|/g
-    and s_1 * ... * s_(k-1) = |D|/s_k divides g (Pan 1988; Abbott, Bronstein
-    & Mulders, ISSAC 1999).  Up to three c are tried, until g = 1; their
+    The last pivot D of U is +-det M.  For an integer vector c, the row steps
+    of the elimination replayed on c, with its entries in pivot order, give
+    F*c for the transform F with F*M = U (a forward substitution in L, O(k^2)
+    instead of carrying F through the elimination).  Back substitution in
+    U*y = D*F*c then gives y = D*M^-1*c = +-adj(M)*c, which is integral, so
+    every division is exact.  With M = P*diag(s)*Q for unimodular P and Q,
+    s_k*M^-1 is integral, so every denominator of M^-1*c = y/D divides s_k.
+    With g the gcd of D and the entries of every y, the lcm of those
+    denominators is |D|/g, so s_k is a multiple of |D|/g and
+    s_1 * ... * s_(k-1) = |D|/s_k divides g (Pan 1988; Abbott, Bronstein &
+    Mulders, ISSAC 1999).  Up to three c are tried, until g = 1; their
     32-bit entries are drawn from Random(0), Random(1) and Random(2), so no
     two are multiples of one another.
     """
@@ -409,24 +437,30 @@ def _divisor_certificate(work) -> int:
     for t in range(3):
         rng = random.Random(t)
         c = [rng.getrandbits(32) for _ in range(k)]
+        v = [c[j] for j in order]
+        prev = 1
+        for s in range(k - 1):
+            p, vs = work[s][s], v[s]
+            lower = zip(v[s + 1 :], work[s + 1 :])
+            v[s + 1 :] = [(p * x - row[s] * vs) // prev for x, row in lower]
+            prev = p
         y = [0] * k
         for i in range(k - 1, -1, -1):
             row = work[i]
-            b = D * sum(map(operator.mul, row[k:], c))
-            y[i] = (b - sum(map(operator.mul, row[i + 1 : k], y[i + 1 :]))) // row[i]
+            y[i] = (D * v[i] - sum(map(operator.mul, row[i + 1 :], y[i + 1 :]))) // row[i]
         g = math.gcd(g, *y)
         if g == 1:
             break
     return g
 
 
-def _divisors(rows, rank: int, modulus: int, work) -> list[int]:
+def _divisors(rows, rank: int, modulus: int, elimination) -> list[int]:
     """The nonzero elementary divisors from _rank_over_q's results.  For a
     square nonsingular M with modulus |det M| above 1, s_1, ..., s_(k-1) come
     from _divisors_mod modulo the certificate's g, unless g = 1, and s_k is
     the modulus over their product."""
     if modulus > 1 and rank == len(rows) == len(rows[0]):
-        g = _divisor_certificate(work)
+        g = _divisor_certificate(*elimination)
         if g == 1:
             return [1] * (rank - 1) + [modulus]
         head = _divisors_mod(rows, rank, g)[:-1]
@@ -437,14 +471,15 @@ def _divisors(rows, rank: int, modulus: int, work) -> list[int]:
 def elementary_divisors(M) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     rows = _dense(M)
-    rank, modulus, _, work = _rank_over_q(rows)
-    return _divisors(rows, rank, modulus, work)
+    rank, modulus, _, elimination = _rank_over_q(rows)
+    return _divisors(rows, rank, modulus, elimination)
 
 
 def is_unimodular(M) -> bool:
     """True iff every elementary divisor is 1, i.e. p-nonsingular for every prime."""
     rows = _dense(M)
-    return elementary_divisors(rows) == [1] * len(rows)
+    rank, modulus, _, elimination = _rank_over_q(rows)
+    return rank == len(rows) and _divisors(rows, rank, modulus, elimination) == [1] * rank
 
 
 @dataclass
@@ -478,9 +513,9 @@ class SingularityReport:
 
 def classify_matrix(M, primes=()) -> SingularityReport:
     rows = _dense(M)
-    rank, modulus, witness, work = _rank_over_q(rows)
+    rank, modulus, witness, elimination = _rank_over_q(rows)
     report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
-    report.divisors = _divisors(rows, rank, modulus, work)
+    report.divisors = _divisors(rows, rank, modulus, elimination)
     report.unimodular = report.divisors == [1] * len(rows)
     # rank mod p is the number of divisors prime to p, so only a p-singular
     # prime needs an elimination mod p, for its witness

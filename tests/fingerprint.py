@@ -14,8 +14,9 @@ solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
 ``EchelonState`` checkpoints with an injected dependent row, the nilpotent
 solvers on Heisenberg groups and abelian handles, ``brute_force_group_solve``
 on the H(Z/2) systems carried to its multiplication table,
-``classify_matrix`` JSON on small matrices and on square and wide ones up
-to 30 x 34, ``divide_exact`` and ``combine``, and the
+``classify_matrix`` JSON on small matrices, on square and wide ones up
+to 30 x 34 and on tall, square and wide ones with a zero column and two or
+three dependent rows, ``divide_exact`` and ``combine``, and the
 counterexample reports.  Everything is drawn from string-seeded generators,
 so a tree's line does not change from run to run.
 
@@ -233,6 +234,24 @@ def matrix_corpus(c: Corpus) -> None:
             p = rng.choice(primes)
             rows[rng.randrange(k)] = [p * x for x in rows[rng.randrange(k)]]
         c.run(f"classify large {i}", lambda: json.dumps(classify_matrix(rows, primes).to_json(), sort_keys=True))
+
+    # tall, square and wide, k = 10..30 with a zero column, and two or three
+    # rows at random positions made from two others (corank 2 or 3 when
+    # square or wide), so the witness depends on the order of the elimination
+    for i in range(90):
+        rng = random.Random(f"fp-corank:{i}")
+        k = rng.randint(10, 30)
+        n = k + (i % 3 - 1) * rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        dependent = rng.sample(range(k), 2 + i % 2)
+        for j in dependent:
+            a, b = rng.sample([t for t in range(k) if t not in dependent], 2)
+            u, v = rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])
+            rows[j] = [u * x + v * y for x, y in zip(rows[a], rows[b])]
+        zero = rng.randrange(n)
+        for row in rows:
+            row[zero] = 0
+        c.run(f"classify corank {i}", lambda: json.dumps(classify_matrix(rows, primes).to_json(), sort_keys=True))
 
     for i in range(400):
         rng = random.Random(f"fp-divide:{i}")

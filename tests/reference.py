@@ -12,6 +12,11 @@ another route, so an agreement between the two is evidence for both:
   without transforms.
 * ``is_p_nonsingular`` — elimination mod p on [M | I] with a list per row,
   against the library's elimination on rows packed into one int each.
+* ``rank_over_q`` / ``divisor_certificate`` — the Bareiss elimination of
+  [M | I], which carries the transform F with F*M = U in its last k columns,
+  and the divisor certificate read from that F, against the library's
+  elimination of M alone, which recovers the witness and F*c by substitution
+  in the fraction-free LU factors.
 * ``center_of`` — the center of a table group by brute-force centralizer
   intersection, against the center each handle declares.
 
@@ -20,6 +25,9 @@ None of them is part of the ``groupeq`` package, and nothing there calls them.
 
 from __future__ import annotations
 
+import math
+import operator
+import random
 from dataclasses import dataclass
 
 from groupeq.abelian import (
@@ -162,6 +170,81 @@ def is_p_nonsingular(M, p: int):
     if r == k:
         return True, None
     return False, work[r][n:]
+
+
+def rank_over_q(rows):
+    """Fraction-free (Bareiss) elimination over Q of the rows extended by the
+    identity, [M | I], so each row carries its combination of the input rows.
+
+    Returns (rank, modulus, witness, work).  By Sylvester's identity every
+    entry of a Bareiss row is a minor of M, so the last pivot row holds
+    rank x rank minors in its first n entries, and their gcd, the modulus, is
+    a positive multiple of s_1 * ... * s_rank (|det M| when M is square and
+    nonsingular; 1 when the rank is 0).  witness is a nonzero integer
+    combination of the rows equal to the zero row, or None when the rows are
+    independent.  work is the eliminated [U | F]: F*M = U, and the first rank
+    rows of U are in echelon form with the pivots on their leading entries.
+    """
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    prev = 1
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, k) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        p = work[r][c]
+        for i in range(r + 1, k):
+            a = work[i][c]
+            # a row with a = 0 is only rescaled by p / prev, a no-op when p = prev
+            if a or p != prev:
+                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], work[r])]
+        prev = p
+        r += 1
+    modulus = math.gcd(*work[r - 1][:n]) if r else 1
+    if r == k:
+        return r, modulus, None, work
+    witness = work[r][n:]
+    g = math.gcd(*witness)
+    witness = [w // g for w in witness]
+    lead = next(w for w in witness if w != 0)
+    if lead < 0:
+        witness = [-w for w in witness]
+    return r, modulus, witness, work
+
+
+def divisor_certificate(work) -> int:
+    """For a square nonsingular k x k matrix M with Bareiss [U | F], a
+    divisor g of |det M| that s_1 * ... * s_(k-1) divides; g = 1 certifies
+    the elementary divisors [1, ..., 1, |det M|].
+
+    The last pivot D of U is +-det M.  For an integer vector c,
+    back-substitution in U*y = D*F*c gives y = D*M^-1*c = +-adj(M)*c, which
+    is integral, so every division is exact.  With M = P*diag(s)*Q for
+    unimodular P and Q, s_k*M^-1 is integral, so every denominator of
+    M^-1*c = y/D divides s_k.  With g the gcd of D and the entries of every
+    y, the lcm of those denominators is |D|/g, so s_k is a multiple of |D|/g
+    and s_1 * ... * s_(k-1) = |D|/s_k divides g (Pan 1988; Abbott, Bronstein
+    & Mulders, ISSAC 1999).  Up to three c are tried, until g = 1; their
+    32-bit entries are drawn from Random(0), Random(1) and Random(2), so no
+    two are multiples of one another.
+    """
+    k = len(work)
+    g = D = work[-1][k - 1]
+    for t in range(3):
+        rng = random.Random(t)
+        c = [rng.getrandbits(32) for _ in range(k)]
+        y = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = work[i]
+            b = D * sum(map(operator.mul, row[k:], c))
+            y[i] = (b - sum(map(operator.mul, row[i + 1 : k], y[i + 1 :]))) // row[i]
+        g = math.gcd(g, *y)
+        if g == 1:
+            break
+    return g
 
 
 def smith_normal_form(M):

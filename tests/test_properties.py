@@ -9,7 +9,10 @@ every coordinate from scratch: ``Fraction(...)`` on Q, the fractional part
 on a Prüfer group, ``% p**e`` on Z/p**e.  ``verify_solution`` is compared
 with each equation's sum of k*x - rhs canonicalised the same way.  The word
 tests compare ``evaluate_word``, which collects a word in one pass, with a
-literal left-to-right fold of ``multiply`` and ``power``.
+literal left-to-right fold of ``multiply`` and ``power``.  The brute-force
+tests run ``solve_mod_p``, ``solve_bounded`` and ``solve_auto`` against
+``brute_force_solve``, and ``solve_nilpotent_bounded`` on H(Z/2) and H(Z/3)
+against ``brute_force_group_solve`` on the groups' multiplication tables.
 """
 
 import random
@@ -26,8 +29,24 @@ from groupeq.errors import (
     MissingPrimeNonsingularity,
     MissingVariable,
 )
-from groupeq.nilpotent import AbelianHandle, evaluate_word, heisenberg_mod, heisenberg_q
-from groupeq.solve_abelian import solve_auto, solve_bounded, solve_divisible
+from groupeq.nilpotent import (
+    AbelianHandle,
+    TableGroup,
+    WordSystem,
+    brute_force_group_solve,
+    evaluate_word,
+    heisenberg_mod,
+    heisenberg_q,
+    solve_nilpotent_bounded,
+)
+from groupeq.randgen import _words_from_matrix, random_unimodular_matrix
+from groupeq.solve_abelian import (
+    brute_force_solve,
+    solve_auto,
+    solve_bounded,
+    solve_divisible,
+    solve_mod_p,
+)
 from groupeq.systems import (
     AbelianEquation,
     AbelianSystem,
@@ -60,10 +79,12 @@ divisible_groups = st.lists(st.sampled_from(DIVISIBLE), min_size=1, max_size=3).
 
 
 @st.composite
-def systems(draw, groups):
-    """A system over a drawn group, with its dense coefficient rows."""
+def systems(draw, groups, budget=None):
+    """A system over a drawn group, with its dense coefficient rows; given a
+    budget, at most as many variables as keep order**variables within it."""
     group = draw(groups)
-    n = draw(st.integers(1, 3))
+    widths = [m for m in (1, 2, 3) if budget is None or group.size() ** m <= budget]
+    n = draw(st.integers(1, max(widths)))
     rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=3))
     rng = random.Random(draw(st.integers(0, 2**16)))
     variables = [f"x{j}" for j in range(n)]
@@ -126,6 +147,75 @@ def test_solve_auto_matches_solve_bounded(case):
 def test_solve_auto_matches_solve_divisible(case):
     system, _ = case
     assert outcome(solve_auto, system) == outcome(solve_divisible, system)
+
+
+# -- brute force -------------------------------------------------------------------
+
+# Z/p summands only, for solve_mod_p; order at most 64
+elementary_groups = st.sampled_from([(2, 6), (3, 3), (5, 2), (7, 2)]).flatmap(
+    lambda pm: st.integers(1, pm[1]).map(
+        lambda m: AbelianGroupDescriptor([Summand.cyclic(pm[0], 1)] * m)
+    )
+)
+
+
+@SMALL
+@given(systems(st.one_of(bounded_groups(), elementary_groups), budget=4096))
+def test_abelian_solvers_agree_with_brute_force(case):
+    """Every answer holds coordinate-wise, and a system that brute force
+    proves unsolvable is refused."""
+    system, _ = case
+    brute = brute_force_solve(system)
+    for solve in (solve_mod_p, solve_bounded, solve_auto):
+        try:
+            solution = solve(system)
+        except GroupEqError:
+            continue
+        assert brute is not None, solve.__name__
+        assert reference_holds(system, solution.assignment), solve.__name__
+    if brute is not None:
+        assert reference_holds(system, brute.assignment)
+
+
+HEISENBERG_TABLES = {
+    p: (heisenberg_mod(p), TableGroup.from_handle(heisenberg_mod(p))) for p in (2, 3)
+}
+
+
+@SMALL
+@pytest.mark.parametrize("p", sorted(HEISENBERG_TABLES))
+@given(st.data())
+def test_nilpotent_bounded_agrees_with_brute_force_on_the_table(p, data):
+    """solve_nilpotent_bounded over H(Z/p) against brute force over its
+    multiplication table: every answer holds in the table, and a system that
+    brute force proves unsolvable is refused."""
+    group, table = HEISENBERG_TABLES[p]
+    n = data.draw(st.integers(1, max(m for m in (1, 2, 3) if table.order**m <= 4096)))
+    k = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    if k <= n and data.draw(st.booleans()):
+        rows = random_unimodular_matrix(rng, k, n)
+    else:
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=k, max_size=k))
+    variables = [f"x{j}" for j in range(n)]
+    system = WordSystem(group, _words_from_matrix(group, rng, rows, variables), variables)
+    carried = [
+        GroupEquation(
+            Const(table.index_of(lit.value)) if isinstance(lit, Const) else lit for lit in eq.word
+        )
+        for eq in system.equations
+    ]
+    table_system = WordSystem(table, carried, variables)
+    brute = brute_force_group_solve(table_system)
+    try:
+        solution = solve_nilpotent_bounded(system)
+    except GroupEqError:
+        return
+    assert brute is not None
+    indices = {v: table.index_of(g) for v, g in solution.assignment.items()}
+    for eq in table_system.equations:
+        assert folded(table, eq.word, indices) == table.identity()
 
 
 # -- element arithmetic ----------------------------------------------------------

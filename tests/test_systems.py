@@ -31,7 +31,9 @@ from groupeq.systems import (
     parse_matrix_text,
     verify_solution,
 )
+from reference import divisor_certificate as divisor_certificate_from_f
 from reference import is_p_nonsingular as is_p_nonsingular_on_lists
+from reference import rank_over_q as rank_over_q_with_identity
 from reference import smith_normal_form
 
 
@@ -399,6 +401,47 @@ def test_rank_and_minor_over_q():
         assert modulus > 0 and modulus % math.prod(divisors) == 0
         if rank == len(rows) == len(rows[0]):
             assert modulus == abs(det_cofactor(rows))
+
+
+def test_bareiss_on_m_alone_matches_the_identity_carrying_reference():
+    """_rank_over_q eliminates M alone and recovers the witness and F*c from
+    the LU factors it leaves; the reference carries [M | I].  Rank, modulus,
+    witness and the certificate's g must agree exactly."""
+    rng = random.Random("bareiss-reference")
+    # k x 0, 1 x n and square; then wide and tall
+    shapes = [(1, 0), (3, 0), (1, 1), (1, 6), (4, 4), (7, 7), (12, 12)]
+    shapes += [(3, 8), (8, 11), (8, 3), (11, 6)]
+    coranks, certificates = set(), []
+    for t in range(2200):
+        k, n = shapes[t % len(shapes)]
+        bound = rng.choice([1, 3, 9, 2**40])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+        # rows at random positions made from two others, so the witness
+        # depends on the elimination order once two or more rows depend
+        for _ in range(min(t % 4, k - 2) if k > 2 else 0):
+            i, a, b = rng.sample(range(k), 3)
+            u, v = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [u * x + v * y for x, y in zip(rows[a], rows[b])]
+        if n and t % 3 == 0:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        if k == n and t % 5 == 1:
+            # two rows times 2: 2 divides s_(k-1), so the certificate's g > 1,
+            # and with small entries g also depends on the row swaps
+            for i in rng.sample(range(k), min(k, 2)):
+                rows[i] = [2 * x for x in rows[i]]
+        rank, modulus, witness, elimination = _rank_over_q(rows)
+        expected = rank_over_q_with_identity(rows)
+        assert (rank, modulus, witness) == expected[:3]
+        coranks.add(k - rank)
+        if rank == k == n and modulus > 1:
+            g = systems._divisor_certificate(*elimination)
+            assert g == divisor_certificate_from_f(expected[3])
+            certificates.append(g)
+    assert {0, 1, 2, 3} <= coranks
+    # the certificate both decides (g = 1) and leaves a bound (g > 1)
+    assert certificates.count(1) >= 100 and len(certificates) - certificates.count(1) >= 20
 
 
 def _p_report(witness, p_witnesses, divisors):
