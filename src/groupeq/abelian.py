@@ -229,15 +229,12 @@ class AbelianGroupDescriptor:
     # -- JSON wire format ---------------------------------------------------
 
     def to_json(self) -> dict:
-        out = []
-        for s in self.summands:
-            if s.kind == CYCLIC:
-                out.append({"kind": "cyclic", "p": s.p, "e": s.e})
-            elif s.kind == PRUFER:
-                out.append({"kind": "prufer", "p": s.p})
-            else:
-                out.append({"kind": s.kind})
-        return {"summands": out}
+        return {
+            "summands": [
+                {"kind": s.kind, **{f: getattr(s, f) for f in _SUMMAND_FIELDS[s.kind]}}
+                for s in self.summands
+            ]
+        }
 
     def element_to_json(self, a: GroupElement) -> list[str]:
         return _coords_to_json(a.coords)

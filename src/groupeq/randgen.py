@@ -99,42 +99,24 @@ def random_abelian_instance(seed_key: str, node_budget: int = 10**5):
     neqs = rng.randint(1, min(3, nvars))
     flavor = rng.choices(("unimodular", "filtered", "unsolvable"), weights=(5, 3, 2))[0]
 
-    def random_rhs():
-        return group.random_element(rng)
-
     if flavor == "unimodular":
-        M = random_unimodular_matrix(rng, neqs, nvars)
-        eqs = [
-            AbelianEquation({v: M[i][j] for j, v in enumerate(variables)}, random_rhs())
-            for i in range(neqs)
-        ]
-        return AbelianSystem(group, eqs, variables=variables), flavor
-
-    if flavor == "filtered":
+        rows = random_unimodular_matrix(rng, neqs, nvars)
+    elif flavor == "filtered":
         primes = sorted({s.p for s in group.summands})
         while True:
             rows = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(neqs)]
             if all(is_p_nonsingular(rows, p)[0] for p in primes):
                 break
-        eqs = [
-            AbelianEquation({v: rows[i][j] for j, v in enumerate(variables)}, random_rhs())
-            for i in range(neqs)
-        ]
-        return AbelianSystem(group, eqs, variables=variables), flavor
-
-    # unsolvable: p * (unit row) = a with the p-part of a outside p*A
-    cyclic_idx = rng.randrange(len(group.summands))
-    p = group.summands[cyclic_idx].p
-    M = random_unimodular_matrix(rng, neqs, nvars)
-    eqs = []
-    for i in range(neqs):
-        coeffs = {v: M[i][j] for j, v in enumerate(variables)}
-        if i == 0:
-            coeffs = {v: p * k for v, k in coeffs.items()}
-            rhs = group.generator(cyclic_idx)
-        else:
-            rhs = random_rhs()
-        eqs.append(AbelianEquation(coeffs, rhs))
+    else:
+        # unsolvable: p * (unit row) = a with the p-part of a outside p*A
+        cyclic_idx = rng.randrange(len(group.summands))
+        p = group.summands[cyclic_idx].p
+        rows = random_unimodular_matrix(rng, neqs, nvars)
+        rows[0] = [p * k for k in rows[0]]
+    # the unsolvable row's right-hand side is fixed; every other one is drawn
+    rhs = [group.generator(cyclic_idx)] if flavor == "unsolvable" else []
+    rhs += [group.random_element(rng) for _ in rows[len(rhs) :]]
+    eqs = [AbelianEquation(dict(zip(variables, row)), b) for row, b in zip(rows, rhs)]
     return AbelianSystem(group, eqs, variables=variables), flavor
 
 

@@ -454,32 +454,15 @@ def _divisor_certificate(work, order) -> int:
     return g
 
 
-def _divisors(rows, rank: int, modulus: int, elimination) -> list[int]:
-    """The nonzero elementary divisors from _rank_over_q's results.  For a
-    square nonsingular M with modulus |det M| above 1, s_1, ..., s_(k-1) come
-    from _divisors_mod modulo the certificate's g, unless g = 1, and s_k is
-    the modulus over their product."""
-    if modulus > 1 and rank == len(rows) == len(rows[0]):
-        g = _divisor_certificate(*elimination)
-        if g == 1:
-            return [1] * (rank - 1) + [modulus]
-        head = _divisors_mod(rows, rank, g)[:-1]
-        return head + [modulus // math.prod(head)]
-    return _divisors_mod(rows, rank, modulus)
-
-
 def elementary_divisors(M) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    rows = _dense(M)
-    rank, modulus, _, elimination = _rank_over_q(rows)
-    return _divisors(rows, rank, modulus, elimination)
+    """Nonzero diagonal of the Smith form, in divisibility order: classify_matrix's."""
+    return classify_matrix(M).divisors
 
 
 def is_unimodular(M) -> bool:
-    """True iff every elementary divisor is 1, i.e. p-nonsingular for every prime."""
-    rows = _dense(M)
-    rank, modulus, _, elimination = _rank_over_q(rows)
-    return rank == len(rows) and _divisors(rows, rank, modulus, elimination) == [1] * rank
+    """True iff every elementary divisor is 1 and there are as many as rows, i.e.
+    p-nonsingular for every prime: classify_matrix's verdict."""
+    return classify_matrix(M).unimodular
 
 
 @dataclass
@@ -515,7 +498,15 @@ def classify_matrix(M, primes=()) -> SingularityReport:
     rows = _dense(M)
     rank, modulus, witness, elimination = _rank_over_q(rows)
     report = SingularityReport(nonsingular=rank == len(rows), witness=witness)
-    report.divisors = _divisors(rows, rank, modulus, elimination)
+    # For a square nonsingular M with modulus |det M| above 1, s_1, ...,
+    # s_(k-1) come from _divisors_mod modulo the certificate's g, unless g = 1,
+    # and s_k is the modulus over their product.
+    if modulus > 1 and rank == len(rows) == len(rows[0]):
+        g = _divisor_certificate(*elimination)
+        head = [1] * (rank - 1) if g == 1 else _divisors_mod(rows, rank, g)[:-1]
+        report.divisors = head + [modulus // math.prod(head)]
+    else:
+        report.divisors = _divisors_mod(rows, rank, modulus)
     report.unimodular = report.divisors == [1] * len(rows)
     # rank mod p is the number of divisors prime to p, so only a p-singular
     # prime needs an elimination mod p, for its witness
