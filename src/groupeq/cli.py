@@ -102,8 +102,8 @@ def cmd_classify(args) -> int:
             print(f"nonsingular: {report.nonsingular}")
             if report.witness is not None:
                 print(f"  witness: {report.witness}")
-            for p in primes:
-                line = f"{p}-nonsingular: {report.p_nonsingular[p]}"
+            for p, ok in report.p_nonsingular.items():
+                line = f"{p}-nonsingular: {ok}"
                 if p in report.p_witnesses:
                     line += f"  witness: {report.p_witnesses[p]}"
                 print(line)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianGroupDescriptor, Summand, order, primary_component
 from .errors import DuplicatePrime, VerificationFailed
-from .intmath import crt_pair, is_prime
+from .intmath import check_prime, crt_pair
 from .solve_abelian import Solution, solve_bounded
 from .systems import AbelianEquation, AbelianSystem, is_unimodular, verify_solution
 
@@ -109,8 +109,7 @@ def gen_bad(primes, n: int):
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"primes must be distinct, got {primes}")
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
     if not 1 <= n <= len(primes):
         raise ValueError(f"depth must be in 1..{len(primes)}")
     used = primes[:n]

@@ -509,8 +509,9 @@ def classify_matrix(M, primes=()) -> SingularityReport:
         report.divisors = _divisors_mod(rows, rank, modulus)
     report.unimodular = report.divisors == [1] * len(rows)
     # rank mod p is the number of divisors prime to p, so only a p-singular
-    # prime needs an elimination mod p, for its witness
-    for p in primes:
+    # prime needs an elimination mod p, for its witness; a repeated prime is
+    # classified once
+    for p in dict.fromkeys(primes):
         check_prime(p)
         pok = report.nonsingular and all(d % p for d in report.divisors)
         report.p_nonsingular[p] = pok

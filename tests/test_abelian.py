@@ -16,6 +16,7 @@ from groupeq.abelian import (
 )
 from groupeq.errors import DescriptorMismatch, NotAPGroup, NotDivisible, NotPeriodic
 from groupeq.intmath import INFINITE
+from groupeq.systems import AbelianEquation, AbelianSystem
 from reference import mod_p_quotient
 
 
@@ -54,6 +55,23 @@ def test_descriptor_mismatch():
     A, B = descr(Z(2, 1)), descr(Z(3, 1))
     with pytest.raises(DescriptorMismatch):
         A.element([1]) + B.element([1])
+    with pytest.raises(DescriptorMismatch, match="rhs lives in a different group"):
+        AbelianSystem(A, [AbelianEquation({"x": 1}, A.zero()), AbelianEquation({}, B.zero())])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(("cyclic", 2, 0), "needs exponent >= 1, got 0", id="cyclic-e0"),
+        pytest.param(("cyclic", 3), "needs exponent >= 1, got None", id="cyclic-no-e"),
+        pytest.param(("q", 2), "summand kind 'q' takes no parameters", id="q-p"),
+        pytest.param(("z", None, 1), "summand kind 'z' takes no parameters", id="z-e"),
+        pytest.param(("klein",), "unknown summand kind 'klein'", id="unknown-kind"),
+    ],
+)
+def test_summand_refuses_bad_parameters(args, message):
+    with pytest.raises(ValueError, match=message):
+        Summand(*args)
 
 
 def test_element_needs_one_coordinate_per_summand():
@@ -254,6 +272,8 @@ def test_divide_exact_rational_line():
 def test_divide_exact_rejects_reduced():
     with pytest.raises(NotDivisible):
         divide_exact(2, descr(Z(2, 1)).zero())
+    with pytest.raises(ValueError, match="divisor must be positive, got 0"):
+        divide_exact(0, descr(Summand.rational()).zero())
 
 
 def test_divide_exact_postcondition_random():

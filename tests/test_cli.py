@@ -43,6 +43,35 @@ def test_classify_prime_verdicts(files, capsys):
     assert "2-nonsingular: False" in out
 
 
+def test_classify_text_prints_each_witness_and_each_prime_once(files, capsys, monkeypatch):
+    from groupeq import systems
+
+    eliminations = []
+    p_nonsingular = systems.is_p_nonsingular
+
+    def counted(rows, p):
+        eliminations.append(p)
+        return p_nonsingular(rows, p)
+
+    monkeypatch.setattr(systems, "is_p_nonsingular", counted)
+    path = files("m.txt", "2 4\n3 6\n")
+    code, out, _ = run(capsys, "classify", "--matrix", path, "--primes", "5,2,5,3,2")
+    assert code == 0
+    assert out.splitlines() == [
+        "nonsingular: False",
+        "  witness: [3, -2]",
+        "5-nonsingular: False  witness: [1, 1]",
+        "2-nonsingular: False  witness: [1, 0]",
+        "3-nonsingular: False  witness: [0, 1]",
+        "unimodular: False",
+        "elementary divisors: [1]",
+    ]
+    assert eliminations == [5, 2, 3]
+    # JSON keys the primes, so a repeat changes nothing there
+    json_args = ("--format", "json", "classify", "--matrix", path, "--primes")
+    assert run(capsys, *json_args, "5,2,5,3,2") == run(capsys, *json_args, "5,2,3")
+
+
 def test_classify_bad_family_truncation(files, capsys):
     from groupeq.counterexamples import gen_bad
     from groupeq.systems import abelian_system_to_json
@@ -419,6 +448,16 @@ def test_solve_table_group(files, capsys):
     assert _json.loads(out)["solution"]["x"] == table.invert(g)
 
 
+def test_solve_refuses_a_non_associative_table_above_order_64(files, capsys):
+    table = [[(a + b) % 65 for b in range(65)] for a in range(65)]
+    table[3][5], table[3][6] = table[3][6], table[3][5]
+    group = files("g.json", json.dumps({"kind": "table", "table": table}))
+    system = files("s.json", X_TIMES_C % ("1", "3"))
+    code, out, err = run(capsys, "--format", "json", "solve", "--group", group, "--system", system)
+    assert (code, out) == (2, "")
+    assert err == "ParseError: malformed input (table is not associative at (2, 1, 5))\n"
+
+
 def test_solve_table_group_search_exhausted_exit_3(files, capsys):
     # x**2 is the identity of Z/2 for every x, so x**2 * 1 = 1 has no solution
     group = files("g.json", Z2_TABLE)
@@ -552,6 +591,12 @@ def test_demo_pbad_refuses_a_non_prime_p_at_every_depth(capsys, monkeypatch, p):
         code, out, err = run(capsys, "demo", "pbad", "--p", p, "--depth", depth)
         assert (code, out) == (3, "")
         assert err.startswith("NotPrime")
+
+
+@pytest.mark.parametrize("primes, depth", [("4", "1"), ("2,3,4", "1"), ("2,3,4", "3")])
+def test_demo_bad_refuses_a_non_prime_with_exit_3(capsys, primes, depth):
+    code, out, err = run(capsys, "demo", "bad", "--primes", primes, "--depth", depth)
+    assert (code, out, err) == (3, "", "NotPrime: 4 is not prime\n")
 
 
 @pytest.mark.parametrize("p, depth", [(2, 20), (3, 19)])

@@ -13,7 +13,7 @@ from groupeq.counterexamples import (
     zbad_bound_check,
     zbad_solution_from_x,
 )
-from groupeq.errors import DuplicatePrime
+from groupeq.errors import DuplicatePrime, NotPrime
 from groupeq.systems import is_unimodular, verify_solution
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
@@ -97,6 +97,23 @@ def test_gen_bad_depth1():
 def test_gen_bad_rejects_duplicates():
     with pytest.raises(DuplicatePrime):
         gen_bad([2, 3, 2], 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: gen_pbad(2, 0), ValueError, "depth must be >= 1", id="pbad-0"),
+        pytest.param(lambda: pbad_growth(2, 1), ValueError, "depth >= 2", id="pbad-growth-1"),
+        pytest.param(lambda: gen_bad([2, 3], 0), ValueError, r"in 1\.\.2", id="bad-0"),
+        pytest.param(lambda: gen_bad([2, 3], 3), ValueError, r"in 1\.\.2", id="bad-over"),
+        # a non-prime anywhere in the list, as every prime check refuses it
+        pytest.param(lambda: gen_bad([2, 4], 1), NotPrime, "4 is not prime", id="bad-not-prime"),
+        pytest.param(lambda: zbad_bound_check(0), ValueError, "depth must be >= 1", id="zbad-0"),
+    ],
+)
+def test_generators_refuse_out_of_range_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_bad_support_check():

@@ -45,6 +45,8 @@ def test_inv_mod_examples():
     assert inv_mod(1, 17) == 1
     # brute-force scan oracle
     assert inv_mod(7, 27) == next(b for b in range(27) if 7 * b % 27 == 1) == 4
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        inv_mod(3, 1)
 
 
 def test_inv_mod_property():
@@ -69,6 +71,7 @@ def test_inv_mod_not_a_unit():
 def test_crt_examples():
     assert crt_pair(1, 2, 2, 3) == 5
     assert crt_pair(0, 7, 0, 11) == 0
+    assert crt_pair(10, 7, 0, 1) == 3  # Z/1 adds no condition
     # brute-force scan oracle
     expected = next(x for x in range(72) if x % 8 == 3 and x % 9 == 5)
     assert crt_pair(3, 8, 5, 9) == expected == 59

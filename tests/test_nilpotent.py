@@ -63,7 +63,7 @@ def all_groups(rng):
 
 def test_heisenberg_mod2_is_a_group():
     # TableGroup validation checks identity, unique inverses, and
-    # associativity on all 512 triples
+    # associativity
     table = TableGroup.from_handle(H2)
     assert table.order == 8
     # the triples enumerate as the abelian group (Z/2)**3 does, last coordinate fastest
@@ -398,7 +398,7 @@ class UT4:
 def test_solve_bounded_class_3_vs_brute_force():
     # UT4(Z/2) -> UT4/Z -> Z/2^3: the recursion runs three levels deep
     G = UT4(Summand.cyclic(2, 1))
-    table = TableGroup.from_handle(G)  # checks the group laws on all triples
+    table = TableGroup.from_handle(G)  # checks the group laws exactly
     assert table.order == 64
     assert set(center_of(table)) == {
         table.index_of(g) for g in G.elements() if G.center_recognize(g) is not None
@@ -665,6 +665,10 @@ def test_nth_root_examples():
     assert nth_root_heisenberg_q(HQ, HQ.identity(), 5) == HQ.identity()
     w = nth_root_heisenberg_q(HQ, g, 2)
     assert HQ.multiply(w, w) == g
+    with pytest.raises(UnsupportedGroup, match="need the rational Heisenberg group"):
+        nth_root_heisenberg_q(H3, H3.identity(), 2)
+    with pytest.raises(ValueError, match="root index must be >= 1"):
+        nth_root_heisenberg_q(HQ, g, 0)
 
 
 def test_nth_root_random():
@@ -735,6 +739,33 @@ def test_table_group_rejects_a_non_associative_loop():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match=r"table is not associative at \(1, 1, 2\)"):
         TableGroup(loop)
+
+
+def cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("n", [65, TableGroup.MAX_ORDER])
+def test_table_group_checks_associativity_at_every_order(n):
+    # Z/n with 3+5 and 3+6 swapped keeps its identity and inverses, and
+    # (2+1)+5 is then 9 while 2+(1+5) is 8
+    table = cyclic_table(n)
+    table[3][5], table[3][6] = table[3][6], table[3][5]
+    with pytest.raises(ValueError, match=r"table is not associative at \(2, 1, 5\)"):
+        TableGroup(table)
+
+
+def test_table_group_order_is_capped():
+    n = TableGroup.MAX_ORDER
+    assert TableGroup(cyclic_table(n)).order == n
+    with pytest.raises(UnsupportedGroup, match=f"table groups are capped at order {n}"):
+        TableGroup(cyclic_table(n + 1))
+
+
+def test_brute_force_group_refuses_a_group_that_is_not_a_table():
+    system = WordSystem(H2, [GroupEquation([VarPow("x", 1)])])
+    with pytest.raises(UnsupportedGroup, match="brute force runs over table groups"):
+        brute_force_group_solve(system)
 
 
 def test_brute_force_group_refuses_a_constant_word_that_is_not_the_identity():

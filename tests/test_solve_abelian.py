@@ -540,6 +540,13 @@ def test_brute_force_too_large():
         brute_force_solve(system)
 
 
+@pytest.mark.parametrize("summand", [Summand.integer(), Summand.rational(), Summand.prufer(2)])
+def test_brute_force_refuses_an_infinite_group(summand):
+    A = descr(Z(2, 1), summand)
+    with pytest.raises(UnsupportedGroup, match="brute force needs a finite group"):
+        brute_force_solve(system_of(A, [[1]], [A.zero()], ["x"]))
+
+
 def test_brute_force_agrees_with_solver():
     from groupeq.randgen import random_abelian_instance
 
