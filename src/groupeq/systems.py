@@ -460,7 +460,7 @@ def elementary_divisors(M) -> list[int]:
 
 
 def is_unimodular(M) -> bool:
-    """True iff every elementary divisor is 1 and there are as many as rows, i.e.
+    """True iff the rows are independent and every elementary divisor is 1, i.e.
     p-nonsingular for every prime: classify_matrix's verdict."""
     return classify_matrix(M).unimodular
 

@@ -106,7 +106,7 @@ def test_gen_bad_rejects_duplicates():
         pytest.param(lambda: pbad_growth(2, 1), ValueError, "depth >= 2", id="pbad-growth-1"),
         pytest.param(lambda: gen_bad([2, 3], 0), ValueError, r"in 1\.\.2", id="bad-0"),
         pytest.param(lambda: gen_bad([2, 3], 3), ValueError, r"in 1\.\.2", id="bad-over"),
-        # a non-prime anywhere in the list, as every prime check refuses it
+        # a non-prime anywhere in the list, even past the depth, is NotPrime
         pytest.param(lambda: gen_bad([2, 4], 1), NotPrime, "4 is not prime", id="bad-not-prime"),
         pytest.param(lambda: zbad_bound_check(0), ValueError, "depth must be >= 1", id="zbad-0"),
     ],
