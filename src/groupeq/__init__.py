@@ -20,7 +20,7 @@ from .counterexamples import (
     zbad_bound_check,
 )
 from .errors import GroupEqError
-from .intmath import INFINITE, PrimePower, crt_pair, factor_small, inv_mod, val_p
+from .intmath import INFINITE, crt_pair, inv_mod, val_p
 from .nilpotent import (
     HeisenbergGroup,
     TableGroup,

@@ -8,14 +8,15 @@ They are enforced in one place, ``Summand.canon``, which
 ``AbelianGroupDescriptor.element`` applies to each coordinate and a Heisenberg
 group in ``nilpotent`` to each of its scalars.  A coordinate already in
 canonical form passes through unchanged: a reduced residue reduces to itself,
-and a ``Fraction`` on a rational line is kept, not copied.  Sums are formed in
-one place, ``_sum``, one coordinate column at a time:
-``AbelianGroupDescriptor.combine`` applies it to each summand and canonicalises
-the whole linear combination once, and the abelian solvers apply it to their
-coordinate columns directly.  Exact division is done one coordinate at a time
-too, by ``_root``, which ``divide_exact`` applies to each summand.  Canonical
-coordinates are written as JSON text in one place, ``_coords_to_json``: a
-Fraction as "num/den", an int in decimal.
+and a ``Fraction`` on a rational line is kept, not copied.  Sums of elements
+are formed in one place, ``_sum``, one coordinate column at a time:
+``AbelianGroupDescriptor.combine`` applies it to each summand and
+canonicalises the whole linear combination once.  Exact division is done
+one coordinate at a time too, by ``_root``, on an integer numerator and
+denominator: ``divide_exact`` applies it to each summand, and the abelian
+solvers' column core to columns it keeps as integer numerators over one
+denominator.  Canonical coordinates are written as JSON text in one place,
+``_coords_to_json``: a Fraction as "num/den", an int in decimal.
 """
 
 from __future__ import annotations
@@ -350,24 +351,28 @@ def divide_exact(n: int, a: GroupElement) -> GroupElement:
     A = a.descriptor
     if not A.is_divisible:
         raise NotDivisible(f"group {A!r} has a non-divisible summand")
-    return A.element(_root(s, n, c) for s, c in zip(A.summands, a.coords))
+    return A.element(
+        Fraction(*_root(s, n, c.numerator, c.denominator)) for s, c in zip(A.summands, a.coords)
+    )
 
 
-def _root(s: Summand, n: int, c):
-    """divide_exact's pinned root of n*y = c in one coordinate of a divisible
-    summand s; c must be canonical, since a Prüfer root depends on the
-    representative in [0, 1)."""
+def _root(s: Summand, n: int, num: int, den: int) -> tuple[int, int]:
+    """divide_exact's pinned root y of n*y = num/den in one coordinate of a
+    divisible summand s, as an integer numerator over den*n on a rational
+    line and over den*p**v on Prüfer(p), p**v the p-part of n.  No Fraction
+    is built, and num/den need not be in lowest terms: a Prüfer root depends
+    only on the representative in [0, 1), which num % den gives."""
     if s.kind == RATIONAL:
-        return Fraction(c, n)
-    if c == 0:
-        return Fraction(0)
+        return num, den * n
     v, u = 0, n
     while u % s.p == 0:
         u //= s.p
         v += 1
-    den = c.denominator * s.p**v
-    num = (inv_mod(u % den, den) * c.numerator) % den if u > 1 else c.numerator
-    return Fraction(num, den)
+    num %= den
+    den *= s.p**v
+    if u > 1 and num:
+        num = (inv_mod(u % den, den) * num) % den
+    return num, den
 
 
 # -- JSON element encoding ---------------------------------------------------

@@ -159,6 +159,8 @@ def cmd_demo(args) -> int:
         primes = _parse_int_list(args.primes) if args.primes is not None else [2, 3, 5, 7, 11, 13]
         if depth > len(primes):
             raise ParseError(f"--depth must be at most {len(primes)}, the number of primes")
+        # checked here too, since depth 0 builds no truncation
+        counterexamples.distinct_primes(primes)
         reports = [counterexamples.bad_support_check(primes, n) for n in range(1, depth + 1)]
     elif args.name == "zbad":
         scan = 10**6 if args.scan is None else args.scan

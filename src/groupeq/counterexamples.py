@@ -102,14 +102,21 @@ def pbad_growth(p: int, j: int) -> GrowthReport:
     )
 
 
-def gen_bad(primes, n: int):
-    """Depth-n truncation of {x + p_i * y_i = a_i} over Z/p_1 + ... + Z/p_n,
-    where a_i is the generator of the i-th summand (outside p_i * A_{p_i})."""
+def distinct_primes(primes) -> list[int]:
+    """The ``bad`` family's primes as a list; DuplicatePrime if one repeats,
+    else NotPrime if one is not prime."""
     primes = list(primes)
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"primes must be distinct, got {primes}")
     for p in primes:
         check_prime(p)
+    return primes
+
+
+def gen_bad(primes, n: int):
+    """Depth-n truncation of {x + p_i * y_i = a_i} over Z/p_1 + ... + Z/p_n,
+    where a_i is the generator of the i-th summand (outside p_i * A_{p_i})."""
+    primes = distinct_primes(primes)
     if not 1 <= n <= len(primes):
         raise ValueError(f"depth must be in 1..{len(primes)}")
     used = primes[:n]

@@ -8,7 +8,6 @@ directly everywhere; this module adds the modular utilities on top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonCoprimeModuli, NotAUnit, NotPrime, OutOfRange
 
@@ -16,8 +15,6 @@ from .errors import NonCoprimeModuli, NotAUnit, NotPrime, OutOfRange
 # (valuation of 0, order of a torsion-free element, height in a divisible
 # summand).  It compares correctly against any int.
 INFINITE = math.inf
-
-FACTOR_LIMIT = 2**64
 
 # Cap on the bits of a modulus p**e, checked as e * (p - 1).bit_length()
 # (that is, e * ceil(log2 p)) before p**e is built: a JSON exponent may have
@@ -67,26 +64,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime power p**e with e >= 1."""
-
-    p: int
-    e: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.e < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.e}")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.e
-
-    def __repr__(self) -> str:
-        return f"{self.p}^{self.e}"
-
-
 def val_p(n: int, p: int):
     """p-adic valuation of n: the largest k with p**k | n; INFINITE for n = 0."""
     check_prime(p)
@@ -120,28 +97,3 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
         return r1 % m1
     t = ((r2 - r1) * inv_mod(m1 % m2, m2)) % m2
     return (r1 + m1 * t) % (m1 * m2)
-
-
-def factor_small(n: int) -> list[PrimePower]:
-    """Factor n <= 2**64 by trial division into a sorted list of prime powers.
-
-    Group periods in this artifact are products of small prime powers, so no
-    general-purpose factoring is needed; the bound is a guard, not a promise
-    of performance for adversarial inputs.
-    """
-    if n < 1 or n > FACTOR_LIMIT:
-        raise OutOfRange(f"factor_small requires 1 <= n <= 2**64, got {n}")
-    out = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            out.append(PrimePower(d, e))
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        out.append(PrimePower(rest, 1))
-    return out

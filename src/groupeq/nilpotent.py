@@ -4,7 +4,9 @@ Two concrete families carry the algorithms: Heisenberg groups (class 2)
 over Z/p**e or over Q, and small multiplication-table groups used as
 independent oracles.  A group handle exposes exactly what the solvers
 need: multiplication, inversion, the center as an abelian descriptor with
-embed/recognize maps, and the quotient by the center with a section.
+embed/recognize maps, and the quotient by the center with a projection, a
+section and ``lift(q, z)``, which joins a quotient element q and the centre
+coordinates z into section(q) * center_embed(z) in one step.
 Elements are canonical values, so two are equal exactly when ``==`` says
 so.  A handle may also evaluate a whole word at once (``evaluate``); the
 Heisenberg groups and the abelian handles do, in collected form, with one
@@ -22,10 +24,16 @@ The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
 coefficient product b_i landed in the center, and finish with one abelian
 solve over the center.  Class-1 handles are the base case (their center is
-the whole group).  Every level's system over the center has the word
-system's exponent matrix, so the divisible solver computes its column
-Hermite pair once, with ``systems._column_hermite``, and hands it to each
-level's ``_solve``; a singular system is refused there, with Singular,
+the whole group).  Each level is carried as data, not as a system: the word
+system's exponent rows, computed once and the same at every level, and the
+negated centre coordinates of each b_i, which go straight to the abelian
+column core ``solve_abelian._solve_columns``.  The b_i are evaluated in the
+top group on section-lifted values and projected down, since projection is
+a homomorphism, so no projected word system is built, and ``lift`` joins
+each level's answer from coordinates.  The exponent matrix is also computed
+once: the bounded solver checks its unimodularity, and the divisible solver
+computes its column Hermite pair with ``systems._column_hermite`` and hands
+it to every level; a singular system is refused there, with Singular,
 before any centre is checked for divisibility.
 """
 
@@ -56,15 +64,14 @@ from .errors import (
     VerificationFailed,
 )
 from .intmath import INFINITE
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve
+from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve_columns
 from .systems import (
-    AbelianEquation,
-    AbelianSystem,
     Const,
     EquationSystem,
     GroupEquation,
     VarPow,
     _column_hermite,
+    _exponent_matrix,
     elementary_divisors,
     exponent_row,
     variables_from_json,
@@ -126,8 +133,9 @@ class HeisenbergGroup:
         and Z = sum (ni*ci + binom(ni, 2)*ai*bi) + sum_{i<j} ni*ai * nj*bj;
         the last sum runs over a prefix of X.  Over Z/p**e the sums are plain
         ints, reduced once.  Over Q each coordinate is first scaled by the lcm
-        of its denominators, so the sums are ints and Fractions are built only
-        at the end.
+        of its denominators, so the sums are ints and one Fraction per
+        coordinate is built at the end: the third, z_c/C + z_ab/(A*B), as one
+        Fraction over C*A*B.
         """
         if self.ring.kind == CYCLIC:
             x = y = z = 0
@@ -151,7 +159,7 @@ class HeisenbergGroup:
             z_ab += n * (n - 1) // 2 * a * b + x * nb
             x += n * a
             y += nb
-        z = Fraction(z_c, C) + Fraction(z_ab, A * B)
+        z = Fraction(z_c * A * B + z_ab * C, C * A * B)
         return self.element(Fraction(x, A), Fraction(y, B), z)
 
     # -- center -----------------------------------------------------------
@@ -172,7 +180,12 @@ class HeisenbergGroup:
 
     def section(self, q: GroupElement):
         """Coset representative choice: (a, b) lifts to (a, b, 0)."""
-        return self.element(q.coords[0], q.coords[1], 0)
+        return self.element(q.coords[0], q.coords[1], self._zero)
+
+    def lift(self, q: GroupElement, z):
+        """section(q) * center_embed(c) for the centre element c with
+        coordinates z: (a, b) and (c,) join as (a, b, c)."""
+        return self.element(q.coords[0], q.coords[1], z[0])
 
     # -- enumeration and encoding: those of the abelian group ring**3 ---------
 
@@ -317,60 +330,75 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
 # -- solvers ------------------------------------------------------------------------
 
 
-def _project_system(system: WordSystem) -> WordSystem:
-    G = system.group
-    projected = [
-        GroupEquation(
-            [Const(G.project(lit.value)) if isinstance(lit, Const) else lit for lit in eq.word]
-        )
-        for eq in system.equations
-    ]
-    return WordSystem(G.quotient, projected, variables=system.variables)
+def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
+    """The unverified answer, solved level by level up the central series.
 
-
-def _solve_recursive(system: WordSystem, hermite=None) -> dict:
-    G = system.group
-    if G.nilpotency_class >= 2:
-        quotient_solution = _solve_recursive(_project_system(system), hermite)
-        constants = {v: G.section(quotient_solution[v]) for v in system.variables}
-    else:
-        constants = {v: G.identity() for v in system.variables}
-
-    central_eqs = []
-    for eq in system.equations:
-        # the word with x -> c_x * x, evaluated at x = 1: (c_x * 1)**e = c_x**e
-        b = evaluate_word(G, eq, constants)
-        beta = G.center_recognize(b)
-        if beta is None:
-            raise CentralityAssertionFailed(
-                f"coefficient product {b!r} is not central; quotient solve is inconsistent"
-            )
-        central_eqs.append(AbelianEquation(exponent_row(eq), -beta))
-    central = AbelianSystem(G.center_group, central_eqs, variables=system.variables)
-    z = _solve(central, hermite)
-    return {v: G.multiply(constants[v], G.center_embed(z[v])) for v in system.variables}
+    The levels are G = G_0, G_1 = G_0/Z(G_0), ..., down to the first class-1
+    handle, and each is data: the word system's exponent rows, the same at
+    every level, and a central right-hand side in coordinates.  The bottom
+    level's constants are 1; every other level's are the answer over the
+    level below, lifted through its section to c_x.  Substituting x -> c_x * x
+    and evaluating at x = 1 leaves the word's value at c, which must be
+    central; its centre coordinates, negated, are the right-hand side of one
+    abelian solve over the centre, and the answer joins c_x's quotient value
+    and the centre's solution with ``lift``.  The word is evaluated in G_0 on
+    c lifted through the sections of the levels above and then projected
+    down, since projection is a homomorphism, so no constant is projected.
+    """
+    G, variables = system.group, system.variables
+    levels = [G]
+    while levels[-1].nilpotency_class >= 2:
+        levels.append(levels[-1].quotient)
+    values = None  # the answer over the level below, once there is one
+    for depth in range(len(levels) - 1, -1, -1):
+        H = levels[depth]
+        if values is None:
+            constants = dict.fromkeys(variables, G.identity())
+        else:
+            constants = {v: H.section(q) for v, q in values.items()}
+            for K in reversed(levels[:depth]):
+                constants = {v: K.section(c) for v, c in constants.items()}
+        rhs = []
+        for eq in system.equations:
+            b = evaluate_word(G, eq, constants)
+            for K in levels[:depth]:
+                b = K.project(b)
+            beta = H.center_recognize(b)
+            if beta is None:
+                raise CentralityAssertionFailed(
+                    f"coefficient product {b!r} is not central; quotient solve is inconsistent"
+                )
+            rhs.append([-c for c in beta.coords])
+        z = _solve_columns(H.center_group, rows, rhs, variables, hermite)
+        if values is None:
+            values = {v: H.center_embed(H.center_group.element(c)) for v, c in z.items()}
+        else:
+            values = {v: H.lift(values[v], z[v]) for v in variables}
+    return values
 
 
 def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     """Solve a unimodular word system over a bounded-period nilpotent handle."""
     if system.group.period_bound is INFINITE:
         raise UnsupportedGroup("group period is not bounded")
-    divisors = elementary_divisors(system.matrix())
-    if divisors != [1] * len(system.equations):
+    rows = [exponent_row(eq) for eq in system.equations]
+    divisors = elementary_divisors(_exponent_matrix(rows, system.variables))
+    if divisors != [1] * len(rows):
         raise NotUnimodular(divisors=divisors)
-    return _checked(system, _solve_recursive(system))
+    return _checked(system, _solve_recursive(system, rows))
 
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     """Solve a nonsingular word system over a divisible nilpotent handle; the
     exponent matrix is factored once, here, for every level's centre solve."""
-    hermite = _column_hermite(system.matrix())
+    rows = [exponent_row(eq) for eq in system.equations]
+    hermite = _column_hermite(_exponent_matrix(rows, system.variables))
     G = system.group
     while G is not None:  # every centre down the series
         if not G.center_group.is_divisible:
             raise UnsupportedGroup("solve_divisible needs every summand divisible")
         G = G.quotient
-    return _checked(system, _solve_recursive(system, hermite))
+    return _checked(system, _solve_recursive(system, rows, hermite))
 
 
 # -- table groups ---------------------------------------------------------------------

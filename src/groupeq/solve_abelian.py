@@ -1,7 +1,14 @@
 """Constructive solvers for abelian systems.
 
-One private core, ``_solve``, answers every abelian system over cyclic,
-Prüfer and Q summands.  The cyclic summands go through one engine,
+One private column core, ``_solve_columns``, answers every abelian system
+over cyclic, Prüfer and Q summands.  It takes the group, each equation's
+exponent row and right-hand-side coordinates, the variables and, when the
+caller has it, the column Hermite pair of the exponent matrix, and returns a
+list of coordinates per variable; it builds no equation and no element.
+``_solve`` reads those inputs off an ``AbelianSystem`` and builds each
+variable's element once, and the nilpotent recursion calls the core
+directly with the central right-hand side of each level.  The cyclic
+summands go through one engine,
 ``_ComponentState``: per prime it appends forward echelon rows with unit
 pivots modulo the largest p**e, never rewritten, and reads the values off
 them by back substitution.  A row that reduces to no unit coefficient is
@@ -10,8 +17,9 @@ refused as dependent modulo p; its witness is recomputed by
 summands, when there are any, take one column Hermite reduction
 M*V = [L | 0], ``systems._column_hermite``, which also decides nonsingularity
 over Q and refuses a singular system with Singular, and forward substitution
-with exact division.  Both work on int and Fraction coordinate columns, and
-each variable's element is built once, from its coordinates.  A ``Solution``
+with exact division.  Cyclic columns are ints; a divisible column is int
+numerators over one common denominator, and a Fraction is built only for a
+variable's coordinate.  A ``Solution``
 keeps the group its values live in, and that group writes them as JSON.
 The public solvers differ only in the group each accepts:
 
@@ -25,8 +33,8 @@ at a time.
 
 The verification boundary is the public call: these four solvers and the
 nilpotent ones each check their answer against the input system exactly
-once, through ``_checked``, before returning it; ``_solve`` and the nilpotent
-recursion that calls it check nothing.  The oracles check through
+once, through ``_checked``, before returning it; the core, ``_solve`` and
+the nilpotent recursion check nothing.  The oracles check through
 ``_checked`` too; ``EchelonState.solution`` is not verified.  Free variables
 are always assigned 0 and pivots take the lowest-ordered eligible variable,
 so outputs are deterministic.
@@ -35,9 +43,11 @@ so outputs are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .abelian import CYCLIC, INTEGER, AbelianGroupDescriptor, GroupElement, _root, _sum
+from .abelian import CYCLIC, INTEGER, AbelianGroupDescriptor, GroupElement, _root
 from .errors import (
     DependentRow,
     MissingPrimeNonsingularity,
@@ -107,13 +117,14 @@ class _ComponentState:
         # rows: (pivot var, coeff dict, rhs ints at indices)
         self.rows: list[tuple[str, dict[str, int], tuple[int, ...]]] = []
 
-    def reduce(self, eq: AbelianEquation):
-        """Reduce an equation against the rows without changing them and scale
-        its pivot to 1, ready to append to ``rows``; DependentRow if no
+    def reduce(self, coeffs: dict[str, int], rhs):
+        """Reduce an equation, its coefficients and its right-hand side's
+        coordinates, against the rows without changing them and scale its
+        pivot to 1, ready to append to ``rows``; DependentRow if no
         coefficient is a unit."""
         m = self.modulus
-        row = {v: k % m for v, k in eq.coeffs.items() if k % m != 0}
-        rhs = [eq.rhs.coords[i] for i in self.indices]
+        row = {v: k % m for v, k in coeffs.items() if k % m != 0}
+        rhs = [rhs[i] for i in self.indices]
         for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
@@ -148,10 +159,10 @@ class _ComponentState:
                 target[i] = c
 
 
-def _witness(equations, p: int) -> list[int]:
+def _witness(rows, p: int) -> list[int]:
     """The combination mod p of the refused prefix rows 0..j that vanishes, 1
     on row j: rows 0..j-1 were accepted, so it is unique up to scale."""
-    _, kernel = is_p_nonsingular(_exponent_matrix(equations), p)
+    _, kernel = is_p_nonsingular(_exponent_matrix(rows), p)
     inv = inv_mod(kernel[-1], p)
     return [(inv * k) % p for k in kernel]
 
@@ -165,51 +176,71 @@ def _components(group: AbelianGroupDescriptor) -> list[_ComponentState]:
 # -- batch solvers -----------------------------------------------------------------
 
 
-def _solve(system: AbelianSystem, hermite=None) -> dict[str, GroupElement]:
-    """The unverified answer over a group of cyclic, Prüfer and Q summands.
+def _solve_columns(group: AbelianGroupDescriptor, rows, rhs, variables, hermite=None):
+    """The unverified answer over a group of cyclic, Prüfer and Q summands, as
+    coordinate columns: a list of coordinates per variable.
 
-    It is worked out on plain int and Fraction coordinate columns, and each
-    variable's element is built once, at the end.  The cyclic summands are
-    solved prime by prime, smallest first, in the unit-pivot echelon; a
-    p-singular system is refused with MissingPrimeNonsingularity(p) for the
-    smallest such p, its witness recomputed from the rows up to the refused
-    one.  Only when the group has divisible summands must the system also be
-    nonsingular over Q: a column change M*V = [L | 0] with L lower triangular
-    turns M*x = b into L*y = b, x = V*(y, 0), and forward substitution
-    divides down L's diagonal, column by column, y_i being divide_exact's
-    pinned root of the canonical ±(b_i - sum_{j<i} L_ij * y_j) by |L_ii|.  So
-    the divisible part of the answer is unique over Q and, over Prüfer
-    summands, fixed by that root choice and by V.  (L, V) is ``hermite`` when
-    the caller has it, else ``_column_hermite`` of the system, which refuses a
-    singular one with Singular and ``is_nonsingular``'s witness.  Over the
-    group with no summands every system is solved by zeros.
+    Equation i is rows[i], its exponent row (a coefficient per variable), and
+    rhs[i], its right-hand side's coordinates, ints and Fractions that need
+    not be canonical.  The cyclic summands are solved prime by prime,
+    smallest first, in the unit-pivot echelon; a p-singular system is
+    refused with MissingPrimeNonsingularity(p) for the smallest such p, its
+    witness recomputed from the rows up to the refused one.  Only when the
+    group has divisible summands must the system also be nonsingular over Q:
+    a column change M*V = [L | 0] with L lower triangular turns M*x = b into
+    L*y = b, x = V*(y, 0), and forward substitution divides down L's
+    diagonal, y_i being divide_exact's pinned root of the canonical
+    ±(b_i - sum_{j<i} L_ij * y_j) by |L_ii|.  So the divisible part of the
+    answer is unique over Q and, over Prüfer summands, fixed by that root
+    choice and by V.  Each divisible column y is kept as integer numerators
+    over one common denominator, which a root multiplies, so the sums are
+    plain int sums and a Fraction is built only for each variable's
+    coordinate.  (L, V) is ``hermite`` when the caller has it, else
+    ``_column_hermite`` of the rows, which refuses a singular system with
+    Singular and ``is_nonsingular``'s witness.  Over the group with no
+    summands every system is solved by zeros.
     """
-    A = system.group
-    components = _components(A)
+    components = _components(group)
     for comp in components:
-        for idx, eq in enumerate(system.equations):
+        for idx, (coeffs, b) in enumerate(zip(rows, rhs)):
             try:
-                comp.rows.append(comp.reduce(eq))
+                comp.rows.append(comp.reduce(coeffs, b))
             except DependentRow as exc:
-                witness = _witness(system.equations[: idx + 1], comp.p)
-                witness += [0] * (len(system.equations) - idx - 1)
+                witness = _witness(rows[: idx + 1], comp.p) + [0] * (len(rows) - idx - 1)
                 raise MissingPrimeNonsingularity(comp.p, witness=witness) from exc
-    coords = {v: [0] * len(A.summands) for v in system.variables}
+    coords = {v: [0] * len(group.summands) for v in variables}
     for comp in components:
         comp.fill(coords)
 
-    divisible = [(t, s) for t, s in enumerate(A.summands) if s.is_divisible]
+    divisible = [(t, s) for t, s in enumerate(group.summands) if s.is_divisible]
     if divisible:
-        L, V = _column_hermite(system.matrix()) if hermite is None else hermite
+        L, V = _column_hermite(_exponent_matrix(rows, variables)) if hermite is None else hermite
         for t, s in divisible:
-            y = []
-            for i, eq in enumerate(system.equations):
-                sign = 1 if L[i][i] > 0 else -1
-                column = [(sign, eq.rhs.coords[t])]
-                column += [(-sign * L[i][j], y[j]) for j in range(i) if L[i][j]]
-                y.append(_root(s, abs(L[i][i]), s.canon(_sum(s, column))))
-            for r, var in enumerate(system.variables):
-                coords[var][t] = _sum(s, [(V[r][j], yj) for j, yj in enumerate(y) if V[r][j]])
+            den = math.lcm(*(b[t].denominator for b in rhs))
+            y = []  # the solution of L*y = b in this column is y[j] / den
+            for i, (Li, b) in enumerate(zip(L, rhs)):
+                c = b[t]
+                num = c.numerator * (den // c.denominator)
+                num -= sum(Li[j] * y[j] for j in range(i) if Li[j])
+                num, root_den = _root(s, abs(Li[i]), num if Li[i] > 0 else -num, den)
+                if root_den != den:
+                    y = [yj * (root_den // den) for yj in y]
+                    den = root_den
+                y.append(num)
+            for r, var in enumerate(variables):
+                num = sum(V[r][j] * yj for j, yj in enumerate(y) if V[r][j])
+                coords[var][t] = Fraction(num, den)
+    return coords
+
+
+def _solve(system: AbelianSystem) -> dict[str, GroupElement]:
+    """``_solve_columns`` on the system's equations, each variable's element
+    built once from its coordinates."""
+    A = system.group
+    equations = system.equations
+    coords = _solve_columns(
+        A, [eq.coeffs for eq in equations], [eq.rhs.coords for eq in equations], system.variables
+    )
     return {v: A.element(c) for v, c in coords.items()}
 
 
@@ -287,9 +318,9 @@ class EchelonState:
         if eq.rhs.descriptor != self.group:
             raise UnsupportedGroup("equation over a different group")
         try:
-            staged = [comp.reduce(eq) for comp in self.components]
+            staged = [comp.reduce(eq.coeffs, eq.rhs.coords) for comp in self.components]
         except DependentRow as exc:
-            witness = _witness([*self.equations, eq], exc.p)
+            witness = _witness([e.coeffs for e in (*self.equations, eq)], exc.p)
             raise DependentRow(exc.p, witness={j: k for j, k in enumerate(witness) if k}) from None
         for comp, row in zip(self.components, staged):
             comp.rows.append(row)

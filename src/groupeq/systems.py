@@ -134,7 +134,7 @@ class EquationSystem:
 
     def matrix(self) -> list[list[int]]:
         """The exponent matrix: a row per equation, a column per variable."""
-        return _exponent_matrix(self.equations, self.variables)
+        return _exponent_matrix([exponent_row(eq) for eq in self.equations], self.variables)
 
 
 class AbelianSystem(EquationSystem):
@@ -168,10 +168,10 @@ class EquationStream:
 # -- exponent matrices ----------------------------------------------------------
 
 
-def _exponent_matrix(equations, variables=None) -> list[list[int]]:
-    """The equations' exponent sums as integer rows, a column per variable in
-    order; by default the sorted variables with a nonzero sum somewhere."""
-    sums = [exponent_row(eq) for eq in equations]
+def _exponent_matrix(sums, variables=None) -> list[list[int]]:
+    """Exponent rows, a dict per equation as ``exponent_row`` gives, as dense
+    integer rows, a column per variable in order; by default the sorted
+    variables with a nonzero sum somewhere."""
     if variables is None:
         variables = sorted(set().union(*sums))
     column = {v: j for j, v in enumerate(variables)}

@@ -20,6 +20,10 @@ another route, so an agreement between the two is evidence for both:
 * ``center_of`` — the center of a table group by brute-force centralizer
   intersection, against the center each handle declares.
 
+Beside them, ``PrimePower`` and ``factor_small`` factor an integer by trial
+division, which the library never needs; tests use them to name the primes
+of a determinant.
+
 None of them is part of the ``groupeq`` package, and nothing there calls them.
 """
 
@@ -37,7 +41,7 @@ from groupeq.abelian import (
     GroupElement,
     Summand,
 )
-from groupeq.errors import DescriptorMismatch, UnsupportedGroup, VerificationFailed
+from groupeq.errors import DescriptorMismatch, OutOfRange, UnsupportedGroup, VerificationFailed
 from groupeq.intmath import check_prime
 from groupeq.nilpotent import TableGroup
 from groupeq.solve_abelian import Solution, _checked, solve_mod_p
@@ -342,3 +346,48 @@ def center_of(group):
             if all(group.multiply(g, h) == group.multiply(h, g) for h in range(group.order))
         ]
     return group.center_group
+
+
+@dataclass(frozen=True)
+class PrimePower:
+    """A prime power p**e with e >= 1."""
+
+    p: int
+    e: int
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if self.e < 1:
+            raise ValueError(f"exponent must be >= 1, got {self.e}")
+
+    @property
+    def value(self) -> int:
+        return self.p**self.e
+
+    def __repr__(self) -> str:
+        return f"{self.p}^{self.e}"
+
+
+def factor_small(n: int) -> list[PrimePower]:
+    """Factor n <= 2**64 by trial division into a sorted list of prime powers.
+
+    Group periods in this artifact are products of small prime powers, so no
+    general-purpose factoring is needed; the bound is a guard, not a promise
+    of performance for adversarial inputs.
+    """
+    if n < 1 or n > 2**64:
+        raise OutOfRange(f"factor_small requires 1 <= n <= 2**64, got {n}")
+    out = []
+    rest = n
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            out.append(PrimePower(d, e))
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        out.append(PrimePower(rest, 1))
+    return out

@@ -599,6 +599,17 @@ def test_demo_bad_refuses_a_non_prime_with_exit_3(capsys, primes, depth):
     assert (code, out, err) == (3, "", "NotPrime: 4 is not prime\n")
 
 
+@pytest.mark.parametrize(
+    "primes, error",
+    [("4", "NotPrime: 4 is not prime"), ("2,2", "DuplicatePrime: primes must be distinct, got [2, 2]")],
+)
+def test_demo_bad_refuses_its_primes_at_every_depth(capsys, monkeypatch, primes, error):
+    monkeypatch.setattr(counterexamples, "bad_support_check", None)  # no row may run
+    for depth in ("0", "1"):
+        code, out, err = run(capsys, "demo", "bad", "--primes", primes, "--depth", depth)
+        assert (code, out, err) == (3, "", error + "\n")
+
+
 @pytest.mark.parametrize("p, depth", [(2, 20), (3, 19)])
 def test_demo_pbad_accepts_the_largest_depth_under_the_cap(capsys, monkeypatch, p, depth):
     calls = []

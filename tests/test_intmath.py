@@ -8,13 +8,12 @@ from groupeq.errors import NonCoprimeModuli, NotAUnit, NotPrime, OutOfRange
 from groupeq.intmath import (
     INFINITE,
     MR_LIMIT,
-    PrimePower,
     crt_pair,
-    factor_small,
     inv_mod,
     is_prime,
     val_p,
 )
+from reference import PrimePower, factor_small
 
 
 def val_p_oracle(n, p):

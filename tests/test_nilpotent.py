@@ -386,6 +386,11 @@ class UT4:
             q = tuple(self.ring.canon(c) for c in q.coords)
         return q + self.identity()[: self.top]
 
+    def lift(self, q, z):
+        # section(q) is 0 on the top kept superdiagonal and the centre is 0
+        # below it, so their product puts z on top of q's entries
+        return self.section(q)[: -self.top] + tuple(self.ring.canon(c) for c in z)
+
     def elements(self):
         return itertools.product(range(self.ring.modulus), repeat=len(self.positions))
 
@@ -605,6 +610,52 @@ def test_solve_divisible_factors_each_system_once(monkeypatch):
     with pytest.raises(Singular):
         solve_nilpotent_divisible(singular)
     assert calls == ["hermite", "is_nonsingular"]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        H9,
+        heisenberg_mod(2, 3),
+        HQ,
+        UT4(Summand.cyclic(2, 1), 2),
+        UT4(Summand.cyclic(2, 1), 3),
+        UT4(Summand.rational(), 2),
+        UT4(Summand.rational(), 3),
+    ],
+    ids=["H(Z/9)", "H(Z/8)", "H(Q)", "UT4(Z/2)-2", "UT4(Z/2)-3", "UT4(Q)-2", "UT4(Q)-3"],
+)
+def test_lift_is_section_times_centre(G):
+    # the recursion joins a quotient value and centre coordinates with lift;
+    # it must be the product that it replaces
+    rng = random.Random(f"lift:{G!r}")
+    for _ in range(60):
+        q = G.quotient.random_element(rng)
+        z = G.center_group.random_element(rng)
+        assert G.lift(q, z.coords) == G.multiply(G.section(q), G.center_embed(z))
+
+
+def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
+    # Heisenberg(Q) has two levels, so an answer needs an abelian element per
+    # equation and level (the projected right-hand side below, the centre's
+    # above) and one per variable for the value below; the lift and the
+    # Heisenberg arithmetic build none
+    from groupeq.abelian import AbelianGroupDescriptor
+
+    calls = []
+    element = AbelianGroupDescriptor.element
+
+    def counted(self, coords):
+        calls.append(self)
+        return element(self, coords)
+
+    system = random_nonsingular_word_system(HQ, "elements:7", max_eqs=8, max_vars=12)
+    assert (len(system.equations), len(system.variables)) == (7, 12)
+    monkeypatch.setattr(AbelianGroupDescriptor, "element", counted)
+    solution = solve_nilpotent_divisible(system)
+    assert len(calls) <= 2 * len(system.equations) + len(system.variables)
+    for eq in system.equations:
+        assert evaluate_word(HQ, eq, solution.assignment) == HQ.identity()
 
 
 # -- roots ---------------------------------------------------------------------------------------

@@ -110,7 +110,8 @@ def test_exponent_row_word_example():
     c = Const(H.element(1, 0, 0))
     conj = GroupEquation([VarPow("x", 2), c, VarPow("x", -2), VarPow("y", 1)])
     assert WordSystem(H, [conj], variables=["w", "x", "y"]).matrix() == [[0, 0, 1]]
-    assert _exponent_matrix([conj, GroupEquation([VarPow("w", 2)])]) == [[0, 1], [2, 0]]
+    sums = [exponent_row(conj), exponent_row(GroupEquation([VarPow("w", 2)]))]
+    assert _exponent_matrix(sums) == [[0, 1], [2, 0]]
 
 
 def test_exponent_row_trivial_cases():
@@ -566,7 +567,7 @@ def test_unimodular_iff_p_nonsingular_at_divisor_primes():
 
 def test_nonsingular_implies_some_prime_nonsingular():
     # for finite systems; the safeguard prime covers divisor-free cases
-    from groupeq.intmath import factor_small
+    from reference import factor_small
 
     rng = random.Random("someprime")
     checked = 0
