@@ -331,20 +331,12 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
 
 
 def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
-    """The unverified answer, solved level by level up the central series.
-
-    The levels are G = G_0, G_1 = G_0/Z(G_0), ..., down to the first class-1
-    handle, and each is data: the word system's exponent rows, the same at
-    every level, and a central right-hand side in coordinates.  The bottom
-    level's constants are 1; every other level's are the answer over the
-    level below, lifted through its section to c_x.  Substituting x -> c_x * x
-    and evaluating at x = 1 leaves the word's value at c, which must be
-    central; its centre coordinates, negated, are the right-hand side of one
-    abelian solve over the centre, and the answer joins c_x's quotient value
-    and the centre's solution with ``lift``.  The word is evaluated in G_0 on
-    c lifted through the sections of the levels above and then projected
-    down, since projection is a homomorphism, so no constant is projected.
-    """
+    """The unverified answer, level by level from the bottom of the series
+    G_0 = G, G_1 = G_0/Z(G_0), ..., the first class-1 handle, up to G_0 (see
+    the module docstring).  The bottom level's constants are 1, every other
+    level's the answer over the level below lifted through its section; each
+    word is evaluated in G_0 on the constants lifted through the sections of
+    the levels above, then projected down to its level."""
     G, variables = system.group, system.variables
     levels = [G]
     while levels[-1].nilpotency_class >= 2:
@@ -360,6 +352,7 @@ def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
                 constants = {v: K.section(c) for v, c in constants.items()}
         rhs = []
         for eq in system.equations:
+            # the word with x -> c_x * x, evaluated at x = 1: (c_x * 1)**e = c_x**e
             b = evaluate_word(G, eq, constants)
             for K in levels[:depth]:
                 b = K.project(b)

@@ -117,14 +117,14 @@ class _ComponentState:
         # rows: (pivot var, coeff dict, rhs ints at indices)
         self.rows: list[tuple[str, dict[str, int], tuple[int, ...]]] = []
 
-    def reduce(self, coeffs: dict[str, int], rhs):
+    def reduce(self, coeffs: dict[str, int], coords):
         """Reduce an equation, its coefficients and its right-hand side's
         coordinates, against the rows without changing them and scale its
         pivot to 1, ready to append to ``rows``; DependentRow if no
         coefficient is a unit."""
         m = self.modulus
         row = {v: k % m for v, k in coeffs.items() if k % m != 0}
-        rhs = [rhs[i] for i in self.indices]
+        rhs = [coords[i] for i in self.indices]
         for pv, prow, prhs in self.rows:
             c = row.get(pv, 0)
             if c:
