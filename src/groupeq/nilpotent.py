@@ -9,8 +9,13 @@ section and ``lift(q, z)``, which joins a quotient element q and the centre
 coordinates z into section(q) * center_embed(z) in one step.
 Elements are canonical values, so two are equal exactly when ``==`` says
 so.  A handle may also evaluate a whole word at once (``evaluate``); the
-Heisenberg groups and the abelian handles do, in collected form, with one
-canonicalisation per word.  Table groups fold the word left to right.
+Heisenberg groups and the abelian handles do, in collected form, and a
+Heisenberg group over Q does it in one pass over int numerators, reading each
+nonzero scalar once and building the canonical triple once.  Table groups
+fold the word left to right.  ``center_coords(g, depth)`` gives the centre
+coordinates of g's image ``depth`` quotients down the central series, or
+None when it is not central: what projecting level by level and
+``center_recognize`` give, read off a Heisenberg triple with no element built.
 
 A Heisenberg group's scalar ring is a cyclic or rational ``Summand``: its
 scalars are canonicalised by ``Summand.canon``, and its triples are
@@ -26,15 +31,19 @@ coefficient product b_i landed in the center, and finish with one abelian
 solve over the center.  Class-1 handles are the base case (their center is
 the whole group).  Each level is carried as data, not as a system: the word
 system's exponent rows, computed once and the same at every level, and the
-negated centre coordinates of each b_i, which go straight to the abelian
-column core ``solve_abelian._solve_columns``.  The b_i are evaluated in the
-top group on section-lifted values and projected down, since projection is
-a homomorphism, so no projected word system is built, and ``lift`` joins
-each level's answer from coordinates.  The exponent matrix is also computed
-once: the bounded solver checks its unimodularity, and the divisible solver
-computes its column Hermite pair with ``systems._column_hermite`` and hands
-it to every level; a singular system is refused there, with Singular,
-before any centre is checked for divisibility.
+centre coordinates of each b_i**-1, which go straight to the abelian column
+core ``solve_abelian._solve_columns`` as the right-hand side -b_i, so no
+coordinate is negated.  b_i**-1 is the word read backwards with negated
+exponents; it is evaluated in the top group on section-lifted values, and
+the top handle's ``center_coords`` reads its image at the level, since
+projection is a homomorphism, so no projected word system is built.  At the
+bottom level every variable is 1, so only the words' constants are
+evaluated there.  ``lift`` joins each level's answer from coordinates.  The
+exponent matrix is also computed once: the bounded solver checks its
+unimodularity, and the divisible solver computes its column Hermite pair
+with ``systems._column_hermite`` and hands it to every level; a singular
+system is refused there, with Singular, before any centre is checked for
+divisibility.
 """
 
 from __future__ import annotations
@@ -132,10 +141,14 @@ class HeisenbergGroup:
         At class 2 the product is (X, Y, Z) with X = sum ni*ai, Y = sum ni*bi
         and Z = sum (ni*ci + binom(ni, 2)*ai*bi) + sum_{i<j} ni*ai * nj*bj;
         the last sum runs over a prefix of X.  Over Z/p**e the sums are plain
-        ints, reduced once.  Over Q each coordinate is first scaled by the lcm
-        of its denominators, so the sums are ints and one Fraction per
-        coordinate is built at the end: the third, z_c/C + z_ab/(A*B), as one
-        Fraction over C*A*B.
+        ints, reduced once.  Over Q each coordinate column is summed as int
+        numerators over a running lcm of its denominators, A, B and C, which
+        widens (rescaling what is summed so far) only when a denominator does
+        not divide it; a nonzero scalar is read once, by ``as_integer_ratio``.
+        The terms of Z in a*b lie over A*B, so the third coordinate is one
+        Fraction over C*A*B, and the canonical triple is built once; a zero
+        coordinate is the ring's own zero, so comparing with the identity
+        finds it by identity.
         """
         if self.ring.kind == CYCLIC:
             x = y = z = 0
@@ -145,22 +158,48 @@ class HeisenbergGroup:
                 x += n * a
                 y += nb
             return self.element(x, y, z)
-        # a, b and c are Fractions (or ints) with denominators dividing A, B
-        # and C; the terms of z in a*b have denominators dividing A*B
-        A = math.lcm(*(g[0].denominator for g, _ in terms))
-        B = math.lcm(*(g[1].denominator for g, _ in terms))
-        C = math.lcm(*(g[2].denominator for g, _ in terms))
+        zero = self._zero
+        gcd = math.gcd
         x = y = z_c = z_ab = 0
+        A = B = C = 1
         for (a, b, c), n in terms:
-            a = a.numerator * (A // a.denominator)
-            b = b.numerator * (B // b.denominator)
+            if a is zero:
+                a = 0
+            else:
+                a, d = a.as_integer_ratio()
+                if A % d:
+                    k = d // gcd(A, d)
+                    A *= k
+                    x *= k
+                    z_ab *= k
+                a *= A // d
+            if b is zero:
+                b = 0
+            else:
+                b, d = b.as_integer_ratio()
+                if B % d:
+                    k = d // gcd(B, d)
+                    B *= k
+                    y *= k
+                    z_ab *= k
+                b *= B // d
+            if c is not zero:
+                c, d = c.as_integer_ratio()
+                if C % d:
+                    k = d // gcd(C, d)
+                    C *= k
+                    z_c *= k
+                z_c += n * c * (C // d)
             nb = n * b
-            z_c += n * c.numerator * (C // c.denominator)
             z_ab += n * (n - 1) // 2 * a * b + x * nb
             x += n * a
             y += nb
-        z = Fraction(z_c * A * B + z_ab * C, C * A * B)
-        return self.element(Fraction(x, A), Fraction(y, B), z)
+        z = z_c * A * B + z_ab * C
+        return (
+            Fraction(x, A) if x else zero,
+            Fraction(y, B) if y else zero,
+            Fraction(z, C * A * B) if z else zero,
+        )
 
     # -- center -----------------------------------------------------------
 
@@ -173,19 +212,32 @@ class HeisenbergGroup:
             return None
         return self.center_group.element([g[2]])
 
+    def center_coords(self, g, depth: int):
+        """The coordinates of g's image ``depth`` quotients down the central
+        series in that quotient's centre, or None when it is not central:
+        (c,) for a central g at depth 0, and at depth 1 the quotient's pair
+        (a, b), the quotient being abelian.  Read off the triple; no element
+        is built."""
+        if depth:
+            return g[:2]
+        return None if g[0] or g[1] else g[2:]
+
     # -- quotient by the center --------------------------------------------
 
     def project(self, g) -> GroupElement:
         return self.quotient.descriptor.element([g[0], g[1]])
 
     def section(self, q: GroupElement):
-        """Coset representative choice: (a, b) lifts to (a, b, 0)."""
-        return self.element(q.coords[0], q.coords[1], self._zero)
+        """Coset representative choice: (a, b) lifts to (a, b, 0).  The
+        quotient's coordinates are canonical scalars already."""
+        a, b = q.coords
+        return (a, b, self._zero)
 
     def lift(self, q: GroupElement, z):
         """section(q) * center_embed(c) for the centre element c with
         coordinates z: (a, b) and (c,) join as (a, b, c)."""
-        return self.element(q.coords[0], q.coords[1], z[0])
+        a, b = q.coords
+        return (a, b, self.ring.canon(z[0]))
 
     # -- enumeration and encoding: those of the abelian group ring**3 ---------
 
@@ -245,6 +297,11 @@ class AbelianHandle:
     def center_recognize(self, g: GroupElement) -> GroupElement:
         return g
 
+    def center_coords(self, g: GroupElement, depth: int):
+        """g's coordinates: a class-1 handle is its own centre, and the end
+        of its central series."""
+        return g.coords
+
     def elements(self):
         return self.descriptor.elements()
 
@@ -278,19 +335,24 @@ def heisenberg_q() -> HeisenbergGroup:
 def evaluate_word(group, equation, assignment) -> object:
     """The product of a word's literals, in order, with variables substituted.
 
-    The word becomes (value, exponent) terms, a constant with exponent 1.  A
-    handle with an ``evaluate`` method takes the terms whole; any other
-    handle multiplies them from left to right.
+    The word becomes (value, exponent) terms, a constant with exponent 1, and
+    ``_product`` multiplies them.
     """
     word = equation.word if isinstance(equation, GroupEquation) else equation
-    terms = []
-    for lit in word:
-        if isinstance(lit, Const):
-            terms.append((lit.value, 1))
-        elif lit.var in assignment:
-            terms.append((assignment[lit.var], lit.exp))
-        else:
-            raise MissingVariable(f"assignment lacks variable {lit.var!r}")
+    try:
+        terms = [
+            (lit.value, 1) if isinstance(lit, Const) else (assignment[lit.var], lit.exp)
+            for lit in word
+        ]
+    except KeyError as exc:
+        raise MissingVariable(f"assignment lacks variable {exc.args[0]!r}") from None
+    return _product(group, terms)
+
+
+def _product(group, terms) -> object:
+    """g1**n1 * ... * gm**nm for the (g, n) pairs in terms.  A handle with an
+    ``evaluate`` method takes the terms whole; any other handle multiplies
+    them from left to right."""
     evaluate = getattr(group, "evaluate", None)
     if evaluate is not None:
         return evaluate(terms)
@@ -333,35 +395,45 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
 def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
     """The unverified answer, level by level from the bottom of the series
     G_0 = G, G_1 = G_0/Z(G_0), ..., the first class-1 handle, up to G_0 (see
-    the module docstring).  The bottom level's constants are 1, every other
-    level's the answer over the level below lifted through its section; each
-    word is evaluated in G_0 on the constants lifted through the sections of
-    the levels above, then projected down to its level."""
+    the module docstring).  The bottom level's constants are 1, so only the
+    words' constant literals count there; every other level's constants are
+    the answer over the level below lifted through its section.  Each level's
+    right-hand side is the centre coordinates of b_i**-1, b_i the word with
+    x -> c_x * x at x = 1, whose literals (c_x * 1)**e = c_x**e are read in
+    reverse order with negated exponents; it is evaluated in G_0 on the
+    constants lifted through the sections of the levels above, and the top
+    handle's ``center_coords`` reads its image at the level."""
     G, variables = system.group, system.variables
     levels = [G]
     while levels[-1].nilpotency_class >= 2:
         levels.append(levels[-1].quotient)
+    inverses = [eq.word[::-1] for eq in system.equations]
     values = None  # the answer over the level below, once there is one
     for depth in range(len(levels) - 1, -1, -1):
         H = levels[depth]
         if values is None:
-            constants = dict.fromkeys(variables, G.identity())
+            terms = [[(lit.value, -1) for lit in w if isinstance(lit, Const)] for w in inverses]
         else:
             constants = {v: H.section(q) for v, q in values.items()}
             for K in reversed(levels[:depth]):
                 constants = {v: K.section(c) for v, c in constants.items()}
+            terms = [
+                [
+                    (lit.value, -1) if isinstance(lit, Const) else (constants[lit.var], -lit.exp)
+                    for lit in w
+                ]
+                for w in inverses
+            ]
         rhs = []
-        for eq in system.equations:
-            # the word with x -> c_x * x, evaluated at x = 1: (c_x * 1)**e = c_x**e
-            b = evaluate_word(G, eq, constants)
-            for K in levels[:depth]:
-                b = K.project(b)
-            beta = H.center_recognize(b)
+        for t in terms:
+            b_inv = _product(G, t)
+            beta = G.center_coords(b_inv, depth)
             if beta is None:
                 raise CentralityAssertionFailed(
-                    f"coefficient product {b!r} is not central; quotient solve is inconsistent"
+                    f"coefficient product {G.invert(b_inv)!r} is not central at depth {depth}; "
+                    "quotient solve is inconsistent"
                 )
-            rhs.append([-c for c in beta.coords])
+            rhs.append(beta)
         z = _solve_columns(H.center_group, rows, rhs, variables, hermite)
         if values is None:
             values = {v: H.center_embed(H.center_group.element(c)) for v, c in z.items()}

@@ -13,7 +13,8 @@ prime, witness and divisors.  The corpus covers the four public abelian
 solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
 ``EchelonState`` checkpoints with an injected dependent row, the nilpotent
 solvers on Heisenberg groups and abelian handles, ``brute_force_group_solve``
-on the H(Z/2) systems carried to its multiplication table,
+on the H(Z/2) systems carried to its multiplication table, hand-built
+word systems and word values over H(Q) and H(Z/8) (see ``word_corpus``),
 ``classify_matrix`` JSON on small matrices, on square and wide ones up
 to 30 x 34 and on tall, square and wide ones with a zero column and two or
 three dependent rows, ``divide_exact`` and ``combine``, and the
@@ -208,6 +209,71 @@ def nilpotent_corpus(c: Corpus) -> None:
                 run_on_table(f"raw table {i}", system)
 
 
+def word_corpus(c: Corpus) -> None:
+    """Hand-built words over H(Q) and H(Z/8), solved and evaluated.
+
+    The words hold what the random generators rarely draw: a variable whose
+    powers cancel around a constant (x**k g x**-k, a zero exponent sum),
+    identity constants, a variable repeated around a constant (x**j g x**k),
+    and constants with zero coordinates, each zero either the group's own
+    canonical zero or a fresh one.  Every system goes to both nilpotent
+    solvers; every word is evaluated on a random assignment, and ``evaluate``
+    also takes raw terms with exponents from -3 to 3, zero included, and
+    empty term lists.
+    """
+    from fractions import Fraction
+
+    from groupeq.nilpotent import (
+        WordSystem,
+        evaluate_word,
+        heisenberg_mod,
+        heisenberg_q,
+        solve_nilpotent_bounded,
+        solve_nilpotent_divisible,
+    )
+    from groupeq.systems import Const, GroupEquation, VarPow
+
+    for G in (heisenberg_q(), heisenberg_mod(2, 3)):
+        zeros = (G.identity()[0], Fraction(0) if G.ring.modulus is None else 0)
+        for i in range(150):
+            rng = random.Random(f"fp-words:{G!r}:{i}")
+
+            def constant():
+                kind = rng.randrange(4)
+                if kind == 0:
+                    return G.identity()
+                g = list(G.random_element(rng))
+                if kind == 1:
+                    for j in rng.sample(range(3), rng.randint(1, 2)):
+                        g[j] = rng.choice(zeros)
+                return tuple(g)
+
+            variables = [f"x{j}" for j in range(rng.randint(1, 3))]
+            equations = []
+            for _ in range(rng.randint(1, len(variables))):
+                word = [Const(constant())]
+                for v in variables:
+                    # the exponent sum of v, mostly a unit so that some
+                    # systems are unimodular, and its first power
+                    total, j = rng.choice((-2, -1, -1, 0, 1, 1, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+                    if total == 0:
+                        word += [VarPow(v, j), Const(constant()), VarPow(v, -j)]
+                    elif j == total:
+                        word.append(VarPow(v, j))
+                    else:
+                        word += [VarPow(v, j), Const(constant()), VarPow(v, total - j)]
+                word.append(Const(constant()))
+                equations.append(GroupEquation(word))
+            system = WordSystem(G, equations, variables)
+            c.run(f"words {G!r} {i} bounded", solve_nilpotent_bounded, system)
+            c.run(f"words {G!r} {i} divisible", solve_nilpotent_divisible, system)
+            assignment = {v: constant() for v in variables}
+            for j, eq in enumerate(equations):
+                c.run(f"words {G!r} {i} value {j}", evaluate_word, G, eq, assignment)
+            terms = [(constant(), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6))]
+            c.run(f"words {G!r} {i} terms", G.evaluate, terms)
+
+
 def matrix_corpus(c: Corpus) -> None:
     from groupeq.abelian import AbelianGroupDescriptor, Summand, divide_exact
     from groupeq.systems import classify_matrix
@@ -283,7 +349,8 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, argv[1])
     corpus = Corpus()
-    for part in (abelian_corpus, echelon_corpus, nilpotent_corpus, matrix_corpus, report_corpus):
+    parts = (abelian_corpus, echelon_corpus, nilpotent_corpus, word_corpus, matrix_corpus, report_corpus)
+    for part in parts:
         part(corpus)
     print(corpus.digest())
     return 0

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-FINGERPRINT = "16099 29dd41bed59d5759c9426e169a3bdf57f8d87fb6173890f57c3d13ced2769416"
+FINGERPRINT = "17453 278b5832a360502fe1812460281a39433984b8ee9ee0541d98b401c4ea99e733"
 
 
 def test_corpus_fingerprint_is_pinned():

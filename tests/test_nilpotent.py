@@ -375,6 +375,11 @@ class UT4:
             return None
         return self.center_group.element(g[-self.top :])
 
+    def center_coords(self, g, depth):
+        if depth:
+            return self.quotient.center_coords(self.project(g), depth - 1)
+        return None if any(g[: -self.top]) else g[-self.top :]
+
     def project(self, g):
         q = g[: -self.top]
         if isinstance(self.quotient, AbelianHandle):
@@ -614,6 +619,35 @@ def test_solve_divisible_factors_each_system_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "G",
+    [H9, HQ, *(UT4(ring, depth) for ring in (Summand.cyclic(2, 1), Summand.rational()) for depth in (2, 3))],
+    ids=["H(Z/9)", "H(Q)", "UT4(Z/2)-2", "UT4(Z/2)-3", "UT4(Q)-2", "UT4(Q)-3"],
+)
+def test_center_coords_is_the_projected_centre(G):
+    # the recursion reads each level's right-hand side with center_coords; it
+    # must give what projecting down and recognising in the centre give, on
+    # random elements and on lifts of each level's central elements
+    levels = [G]
+    while levels[-1].nilpotency_class >= 2:
+        levels.append(levels[-1].quotient)
+    rng = random.Random("center_coords")
+    for _ in range(40):
+        elements = [G.random_element(rng), G.identity()]
+        for depth, H in enumerate(levels):
+            g = H.center_embed(H.center_group.random_element(rng))
+            for K in reversed(levels[:depth]):
+                g = K.section(g)
+            elements.append(g)
+        for g in elements:
+            for depth, H in enumerate(levels):
+                b = g
+                for K in levels[:depth]:
+                    b = K.project(b)
+                beta = H.center_recognize(b)
+                assert G.center_coords(g, depth) == (None if beta is None else beta.coords)
+
+
+@pytest.mark.parametrize(
+    "G",
     [
         H9,
         heisenberg_mod(2, 3),
@@ -636,9 +670,9 @@ def test_lift_is_section_times_centre(G):
 
 
 def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
-    # Heisenberg(Q) has two levels, so an answer needs an abelian element per
-    # equation and level (the projected right-hand side below, the centre's
-    # above) and one per variable for the value below; the lift and the
+    # Heisenberg(Q) has two levels; an answer needs one abelian element per
+    # variable, its value over the abelian quotient.  Each level's right-hand
+    # side is read off a triple by center_coords, and the lift and the
     # Heisenberg arithmetic build none
     from groupeq.abelian import AbelianGroupDescriptor
 
@@ -653,9 +687,35 @@ def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
     assert (len(system.equations), len(system.variables)) == (7, 12)
     monkeypatch.setattr(AbelianGroupDescriptor, "element", counted)
     solution = solve_nilpotent_divisible(system)
-    assert len(calls) <= 2 * len(system.equations) + len(system.variables)
+    assert len(calls) <= len(system.variables)
     for eq in system.equations:
         assert evaluate_word(HQ, eq, solution.assignment) == HQ.identity()
+
+
+def test_solve_divisible_evaluates_constants_only_at_the_bottom(monkeypatch):
+    # each word is evaluated three times: at the bottom level, where every
+    # variable is 1, its constants alone, inverted; at the top its whole
+    # inverse, on the sections of the answer below; and in verification the
+    # word itself on the answer
+    calls = []
+    evaluate = HeisenbergGroup.evaluate
+
+    def counted(self, terms):
+        calls.append(list(terms))
+        return evaluate(self, terms)
+
+    system = random_nonsingular_word_system(HQ, "elements:7", max_eqs=8, max_vars=12)
+    monkeypatch.setattr(HeisenbergGroup, "evaluate", counted)
+    solve_nilpotent_divisible(system)
+    words = [eq.word for eq in system.equations]
+    constants = [[lit.value for lit in w if isinstance(lit, Const)] for w in words]
+    assert calls[: len(words)] == [
+        [(c, -1) for c in reversed(cs)] for cs in constants
+    ]
+    assert [len(t) for t in calls[len(words) :]] == [len(w) for w in words] * 2
+    # 37 constants and 136 literals in all; evaluating the whole word at every
+    # level made it 3 * 136 = 408
+    assert sum(map(len, calls)) == 309
 
 
 # -- roots ---------------------------------------------------------------------------------------

@@ -8,9 +8,10 @@ compare abelian and Heisenberg elements with a reference that canonicalises
 every coordinate from scratch: ``Fraction(...)`` on Q, the fractional part
 on a Prüfer group, ``% p**e`` on Z/p**e.  ``verify_solution`` is compared
 with each equation's sum of k*x - rhs canonicalised the same way.  The word
-tests compare ``evaluate_word``, which collects a word in one pass, with a
-literal left-to-right fold of ``multiply`` and ``power``.  The brute-force
-tests run ``solve_mod_p``, ``solve_bounded`` and ``solve_auto`` against
+tests compare ``evaluate_word``, which collects a word in one pass, and
+``HeisenbergGroup.evaluate`` on raw terms, zero exponents and zero scalars
+included, with a literal left-to-right fold of ``multiply`` and ``power``.
+The brute-force tests run ``solve_mod_p``, ``solve_bounded`` and ``solve_auto`` against
 ``brute_force_solve``, and ``solve_nilpotent_bounded`` on H(Z/2) and H(Z/3)
 against ``brute_force_group_solve`` on the groups' multiplication tables.
 """
@@ -434,6 +435,40 @@ def test_heisenberg_word_matches_left_to_right_fold(name, data):
         got = check_against_fold(handle, *data.draw(words(handle)))
         coords = got.coords if handle is group.quotient else got
         assert all(type(x) is kind for x in coords)
+
+
+@st.composite
+def heisenberg_terms(draw, group):
+    """(g, n) terms for ``evaluate``, possibly none: exponents from -6 to 6,
+    zero included, or all 1 as a word of constants alone gives; a drawn
+    scalar may be replaced by the group's own canonical zero or by a fresh
+    zero, Fraction(0) on Q."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    zeros = (group.identity()[0], Fraction(0) if group.ring.modulus is None else 0)
+    constants_only = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        g = tuple(
+            draw(st.sampled_from(zeros)) if draw(st.booleans()) else x
+            for x in group.random_element(rng)
+        )
+        terms.append((g, 1 if constants_only else draw(st.integers(-6, 6))))
+    return terms
+
+
+@SMALL
+@pytest.mark.parametrize("name", sorted(HEISENBERG))
+@given(st.data())
+def test_heisenberg_evaluate_matches_left_to_right_fold(name, data):
+    group = HEISENBERG[name]
+    terms = data.draw(heisenberg_terms(group))
+    want = group.identity()
+    for g, n in terms:
+        want = group.multiply(want, group.power(g, n))
+    got = group.evaluate(terms)
+    assert got == want
+    kind = int if group.ring.modulus is not None else Fraction
+    assert all(type(x) is kind for x in got)
 
 
 @SMALL
