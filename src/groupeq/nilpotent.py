@@ -2,20 +2,27 @@
 
 Two concrete families carry the algorithms: Heisenberg groups (class 2)
 over Z/p**e or over Q, and small multiplication-table groups used as
-independent oracles.  A group handle exposes exactly what the solvers
-need: multiplication, inversion, the center as an abelian descriptor with
-embed/recognize maps, and the quotient by the center with a projection, a
-section and ``lift(q, z)``, which joins a quotient element q and the centre
-coordinates z into section(q) * center_embed(z) in one step.
-Elements are canonical values, so two are equal exactly when ``==`` says
-so.  A handle may also evaluate a whole word at once (``evaluate``); the
-Heisenberg groups and the abelian handles do, in collected form, and a
-Heisenberg group over Q does it in one pass over int numerators, reading each
-nonzero scalar once and building the canonical triple once.  Table groups
-fold the word left to right.  ``center_coords(g, depth)`` gives the centre
-coordinates of g's image ``depth`` quotients down the central series, or
-None when it is not central: what projecting level by level and
-``center_recognize`` give, read off a Heisenberg triple with no element built.
+independent oracles.  Elements are canonical values, so two are equal
+exactly when ``==`` says so.  Every handle evaluates a whole word, the
+product of (g, n) terms g**n, with ``evaluate``: a Heisenberg group or an
+abelian handle in collected form (over Q in one pass over int numerators),
+a table group left to right.
+
+A handle's central series runs G = G_0, G_1 = G_0/Z(G_0), ... down to the
+first class-1 handle, whose ``quotient`` is None; each level's centre is an
+abelian descriptor, ``center_group``.  ``center_embed``, ``center_recognize``,
+``project`` and ``section`` map between a level, its centre and its quotient,
+and define the two maps with which the top handle reads and writes every
+level as a block of its own coordinates (Mal'cev coordinates):
+``center_coords(g, depth)`` gives the centre coordinates of g's image
+``depth`` quotients down, or None when it is not central there, and
+``lift(g, z, depth)``, for g the sections of its image q one level further
+down (the identity at the bottom), the sections of section(q) *
+center_embed(z) at the level.  The solvers call only these members of a
+handle: ``identity``, ``evaluate``, ``center_coords``, ``lift`` and, for a
+failed centrality check's message, ``invert`` on the top handle; its
+``period_bound`` (bounded solver); and each level's ``center_group`` and
+``quotient``, read once by ``_centres``.
 
 A Heisenberg group's scalar ring is a cyclic or rational ``Summand``: its
 scalars are canonicalised by ``Summand.canon``, and its triples are
@@ -28,22 +35,20 @@ and a ``Solution`` over the handle writes its values with the same method.
 The solver recursion: solve the induced system over G/Z(G), lift the
 solution through the section, substitute x -> c*x, check that every
 coefficient product b_i landed in the center, and finish with one abelian
-solve over the center.  Class-1 handles are the base case (their center is
-the whole group).  Each level is carried as data, not as a system: the word
-system's exponent rows, computed once and the same at every level, and the
-centre coordinates of each b_i**-1, which go straight to the abelian column
-core ``solve_abelian._solve_columns`` as the right-hand side -b_i, so no
-coordinate is negated.  b_i**-1 is the word read backwards with negated
-exponents; it is evaluated in the top group on section-lifted values, and
-the top handle's ``center_coords`` reads its image at the level, since
-projection is a homomorphism, so no projected word system is built.  At the
-bottom level every variable is 1, so only the words' constants are
-evaluated there.  ``lift`` joins each level's answer from coordinates.  The
-exponent matrix is also computed once: the bounded solver checks its
-unimodularity, and the divisible solver computes its column Hermite pair
-with ``systems._column_hermite`` and hands it to every level; a singular
-system is refused there, with Singular, before any centre is checked for
-divisibility.
+solve over the center.  Every variable's value is an element of G from the
+start, the identity, and each level from the bottom up writes its centre
+coordinates into it with ``lift``.  A level is data, not a system: the word
+system's exponent rows, the same at every level, and the centre coordinates
+of each b_i**-1, which go straight to the abelian column core
+``solve_abelian._solve_columns`` as the right-hand side -b_i.  b_i**-1 is
+the word read backwards with negated exponents, evaluated in G on the values
+so far; ``center_coords`` reads its image at the level, projection being a
+homomorphism.  At the bottom every variable is 1, so only the words'
+constants are evaluated there.  The exponent matrix is computed once: the
+bounded solver checks its unimodularity, and the divisible solver computes
+its column Hermite pair with ``systems._column_hermite`` for every level,
+which refuses a singular system with Singular before any centre is checked
+for divisibility.
 """
 
 from __future__ import annotations
@@ -144,7 +149,9 @@ class HeisenbergGroup:
         ints, reduced once.  Over Q each coordinate column is summed as int
         numerators over a running lcm of its denominators, A, B and C, which
         widens (rescaling what is summed so far) only when a denominator does
-        not divide it; a nonzero scalar is read once, by ``as_integer_ratio``.
+        not divide it; a nonzero scalar is read once, by Fraction's
+        ``as_integer_ratio``, which fails on an int or a float, and then the
+        terms go through ``element``, which converts an int and refuses a float.
         The terms of Z in a*b lie over A*B, so the third coordinate is one
         Fraction over C*A*B, and the canonical triple is built once; a zero
         coordinate is the ring's own zero, so comparing with the identity
@@ -160,40 +167,44 @@ class HeisenbergGroup:
             return self.element(x, y, z)
         zero = self._zero
         gcd = math.gcd
+        ratio = Fraction.as_integer_ratio
         x = y = z_c = z_ab = 0
         A = B = C = 1
-        for (a, b, c), n in terms:
-            if a is zero:
-                a = 0
-            else:
-                a, d = a.as_integer_ratio()
-                if A % d:
-                    k = d // gcd(A, d)
-                    A *= k
-                    x *= k
-                    z_ab *= k
-                a *= A // d
-            if b is zero:
-                b = 0
-            else:
-                b, d = b.as_integer_ratio()
-                if B % d:
-                    k = d // gcd(B, d)
-                    B *= k
-                    y *= k
-                    z_ab *= k
-                b *= B // d
-            if c is not zero:
-                c, d = c.as_integer_ratio()
-                if C % d:
-                    k = d // gcd(C, d)
-                    C *= k
-                    z_c *= k
-                z_c += n * c * (C // d)
-            nb = n * b
-            z_ab += n * (n - 1) // 2 * a * b + x * nb
-            x += n * a
-            y += nb
+        try:
+            for (a, b, c), n in terms:
+                if a is zero:
+                    a = 0
+                else:
+                    a, d = ratio(a)
+                    if A % d:
+                        k = d // gcd(A, d)
+                        A *= k
+                        x *= k
+                        z_ab *= k
+                    a *= A // d
+                if b is zero:
+                    b = 0
+                else:
+                    b, d = ratio(b)
+                    if B % d:
+                        k = d // gcd(B, d)
+                        B *= k
+                        y *= k
+                        z_ab *= k
+                    b *= B // d
+                if c is not zero:
+                    c, d = ratio(c)
+                    if C % d:
+                        k = d // gcd(C, d)
+                        C *= k
+                        z_c *= k
+                    z_c += n * c * (C // d)
+                nb = n * b
+                z_ab += n * (n - 1) // 2 * a * b + x * nb
+                x += n * a
+                y += nb
+        except AttributeError:  # an int or a float has no _numerator
+            return self.evaluate([(self.element(*g), n) for g, n in terms])
         z = z_c * A * B + z_ab * C
         return (
             Fraction(x, A) if x else zero,
@@ -233,11 +244,13 @@ class HeisenbergGroup:
         a, b = q.coords
         return (a, b, self._zero)
 
-    def lift(self, q: GroupElement, z):
-        """section(q) * center_embed(c) for the centre element c with
-        coordinates z: (a, b) and (c,) join as (a, b, c)."""
-        a, b = q.coords
-        return (a, b, self.ring.canon(z[0]))
+    def lift(self, g, z, depth: int):
+        """g with centre coordinates z written at ``depth`` (``center_coords``
+        reads them): (z0, z1, 0) at depth 1, (a, b, z0) at 0 for g = (a, b, 0)."""
+        canon = self.ring.canon
+        if depth:
+            return (canon(z[0]), canon(z[1]), self._zero)
+        return (g[0], g[1], canon(z[0]))
 
     # -- enumeration and encoding: those of the abelian group ring**3 ---------
 
@@ -302,6 +315,10 @@ class AbelianHandle:
         of its central series."""
         return g.coords
 
+    def lift(self, g: GroupElement, z, depth: int) -> GroupElement:
+        """The element with coordinates z, g being the identity."""
+        return self.descriptor.element(z)
+
     def elements(self):
         return self.descriptor.elements()
 
@@ -332,34 +349,20 @@ def heisenberg_q() -> HeisenbergGroup:
 # -- word evaluation and commutators ---------------------------------------------
 
 
-def evaluate_word(group, equation, assignment) -> object:
+def evaluate_word(group, equation: GroupEquation, assignment) -> object:
     """The product of a word's literals, in order, with variables substituted.
 
     The word becomes (value, exponent) terms, a constant with exponent 1, and
-    ``_product`` multiplies them.
+    the handle's ``evaluate`` multiplies them.
     """
-    word = equation.word if isinstance(equation, GroupEquation) else equation
     try:
         terms = [
             (lit.value, 1) if isinstance(lit, Const) else (assignment[lit.var], lit.exp)
-            for lit in word
+            for lit in equation.word
         ]
     except KeyError as exc:
         raise MissingVariable(f"assignment lacks variable {exc.args[0]!r}") from None
-    return _product(group, terms)
-
-
-def _product(group, terms) -> object:
-    """g1**n1 * ... * gm**nm for the (g, n) pairs in terms.  A handle with an
-    ``evaluate`` method takes the terms whole; any other handle multiplies
-    them from left to right."""
-    evaluate = getattr(group, "evaluate", None)
-    if evaluate is not None:
-        return evaluate(terms)
-    out = group.identity()
-    for g, n in terms:
-        out = group.multiply(out, g if n == 1 else group.power(g, n))
-    return out
+    return group.evaluate(terms)
 
 
 def commutator(group, g, h):
@@ -392,41 +395,33 @@ def nth_root_heisenberg_q(group: HeisenbergGroup, g, n: int):
 # -- solvers ------------------------------------------------------------------------
 
 
-def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
-    """The unverified answer, level by level from the bottom of the series
-    G_0 = G, G_1 = G_0/Z(G_0), ..., the first class-1 handle, up to G_0 (see
-    the module docstring).  The bottom level's constants are 1, so only the
-    words' constant literals count there; every other level's constants are
-    the answer over the level below lifted through its section.  Each level's
-    right-hand side is the centre coordinates of b_i**-1, b_i the word with
-    x -> c_x * x at x = 1, whose literals (c_x * 1)**e = c_x**e are read in
-    reverse order with negated exponents; it is evaluated in G_0 on the
-    constants lifted through the sections of the levels above, and the top
-    handle's ``center_coords`` reads its image at the level."""
+def _centres(G) -> list[AbelianGroupDescriptor]:
+    """The centre of each level of G's central series, from G down."""
+    centres = []
+    while G is not None:
+        centres.append(G.center_group)
+        G = G.quotient
+    return centres
+
+
+def _solve_recursive(system: WordSystem, rows, centres, hermite=None) -> dict:
+    """The unverified answer, written level by level from the bottom of the
+    series ``centres`` up into values in G (see the module docstring).  b_i,
+    the word with x -> c_x * x at x = 1, has literals (c_x * 1)**e = c_x**e;
+    b_i**-1 reads them in reverse order with negated exponents."""
     G, variables = system.group, system.variables
-    levels = [G]
-    while levels[-1].nilpotency_class >= 2:
-        levels.append(levels[-1].quotient)
     inverses = [eq.word[::-1] for eq in system.equations]
-    values = None  # the answer over the level below, once there is one
-    for depth in range(len(levels) - 1, -1, -1):
-        H = levels[depth]
-        if values is None:
-            terms = [[(lit.value, -1) for lit in w if isinstance(lit, Const)] for w in inverses]
-        else:
-            constants = {v: H.section(q) for v, q in values.items()}
-            for K in reversed(levels[:depth]):
-                constants = {v: K.section(c) for v, c in constants.items()}
-            terms = [
+    words = [[lit for lit in w if isinstance(lit, Const)] for w in inverses]  # values start at 1
+    values = dict.fromkeys(variables, G.identity())
+    for depth in range(len(centres) - 1, -1, -1):
+        rhs = []
+        for w in words:
+            b_inv = G.evaluate(
                 [
-                    (lit.value, -1) if isinstance(lit, Const) else (constants[lit.var], -lit.exp)
+                    (lit.value, -1) if isinstance(lit, Const) else (values[lit.var], -lit.exp)
                     for lit in w
                 ]
-                for w in inverses
-            ]
-        rhs = []
-        for t in terms:
-            b_inv = _product(G, t)
+            )
             beta = G.center_coords(b_inv, depth)
             if beta is None:
                 raise CentralityAssertionFailed(
@@ -434,11 +429,9 @@ def _solve_recursive(system: WordSystem, rows, hermite=None) -> dict:
                     "quotient solve is inconsistent"
                 )
             rhs.append(beta)
-        z = _solve_columns(H.center_group, rows, rhs, variables, hermite)
-        if values is None:
-            values = {v: H.center_embed(H.center_group.element(c)) for v, c in z.items()}
-        else:
-            values = {v: H.lift(values[v], z[v]) for v in variables}
+        z = _solve_columns(centres[depth], rows, rhs, variables, hermite)
+        values = {v: G.lift(values[v], z[v], depth) for v in variables}
+        words = inverses
     return values
 
 
@@ -450,7 +443,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     divisors = elementary_divisors(_exponent_matrix(rows, system.variables))
     if divisors != [1] * len(rows):
         raise NotUnimodular(divisors=divisors)
-    return _checked(system, _solve_recursive(system, rows))
+    return _checked(system, _solve_recursive(system, rows, _centres(system.group)))
 
 
 def solve_nilpotent_divisible(system: WordSystem) -> Solution:
@@ -458,12 +451,10 @@ def solve_nilpotent_divisible(system: WordSystem) -> Solution:
     exponent matrix is factored once, here, for every level's centre solve."""
     rows = [exponent_row(eq) for eq in system.equations]
     hermite = _column_hermite(_exponent_matrix(rows, system.variables))
-    G = system.group
-    while G is not None:  # every centre down the series
-        if not G.center_group.is_divisible:
-            raise UnsupportedGroup("solve_divisible needs every summand divisible")
-        G = G.quotient
-    return _checked(system, _solve_recursive(system, rows, hermite))
+    centres = _centres(system.group)
+    if not all(A.is_divisible for A in centres):
+        raise UnsupportedGroup("solve_divisible needs every summand divisible")
+    return _checked(system, _solve_recursive(system, rows, centres, hermite))
 
 
 # -- table groups ---------------------------------------------------------------------
@@ -572,6 +563,13 @@ class TableGroup:
                 out = self.table[out][base]
             base = self.table[base][base]
             n >>= 1
+        return out
+
+    def evaluate(self, terms) -> int:
+        """g1**n1 * ... * gm**nm for the (g, n) pairs in terms, left to right."""
+        out, table = self._identity, self.table
+        for g, n in terms:
+            out = table[out][g if n == 1 else self.power(g, n)]
         return out
 
     def elements(self):

@@ -215,6 +215,7 @@ def _solve_columns(group: AbelianGroupDescriptor, rows, rhs, variables, hermite=
     divisible = [(t, s) for t, s in enumerate(group.summands) if s.is_divisible]
     if divisible:
         L, V = _column_hermite(_exponent_matrix(rows, variables)) if hermite is None else hermite
+        support = [[(j, v) for j, v in enumerate(row[: len(L)]) if v] for row in V]  # V*(y, 0)
         for t, s in divisible:
             den = math.lcm(*(b[t].denominator for b in rhs))
             y = []  # the solution of L*y = b in this column is y[j] / den
@@ -227,9 +228,8 @@ def _solve_columns(group: AbelianGroupDescriptor, rows, rhs, variables, hermite=
                     y = [yj * (root_den // den) for yj in y]
                     den = root_den
                 y.append(num)
-            for r, var in enumerate(variables):
-                num = sum(V[r][j] * yj for j, yj in enumerate(y) if V[r][j])
-                coords[var][t] = Fraction(num, den)
+            for var, entries in zip(variables, support):
+                coords[var][t] = Fraction(sum(v * y[j] for j, v in entries), den)
     return coords
 
 

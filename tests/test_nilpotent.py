@@ -42,7 +42,7 @@ from groupeq.randgen import (
     random_unimodular_word_system,
     rng_for,
 )
-from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular
+from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular, verify_solution
 from reference import center_of
 
 H2 = heisenberg_mod(2)
@@ -170,6 +170,23 @@ def test_evaluate_word_basics():
     assert evaluate_word(H3, eq2, {"x": (2, 1, 0)}) == H3.identity()
     with pytest.raises(MissingVariable):
         evaluate_word(H3, eq2, {})
+
+
+def test_heisenberg_q_words_convert_ints_and_refuse_floats():
+    # a scalar that is not a Fraction is read as element reads it: an int is
+    # converted, and a float is refused with ValueError, as multiply refuses
+    # it, instead of being read through its own as_integer_ratio
+    g = HQ.element(Fraction(-1, 2), 0, 0)
+    system = WordSystem(HQ, [GroupEquation([VarPow("x", 1), Const(g)])])
+    assert verify_solution(system, {"x": HQ.invert(g)})
+    with pytest.raises(ValueError):
+        HQ.multiply((0.5, 0.0, 0.0), g)
+    with pytest.raises(ValueError):
+        verify_solution(system, {"x": (0.5, 0.0, 0.0)})
+    got = HQ.evaluate([((1, 0, 2), 3), (g, 1), ((0, 1, 0), -2)])
+    want = HQ.multiply(HQ.multiply(HQ.power((1, 0, 2), 3), g), HQ.power((0, 1, 0), -2))
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_evaluate_word_matches_table_fold():
@@ -366,6 +383,12 @@ class UT4:
             n >>= 1
         return out
 
+    def evaluate(self, terms):
+        out = self.identity()
+        for g, n in terms:
+            out = self.multiply(out, self.power(g, n))
+        return out
+
     def center_embed(self, z):
         kept = len(self.positions) - self.top
         return self.identity()[:kept] + tuple(self.ring.canon(c) for c in z.coords)
@@ -391,10 +414,14 @@ class UT4:
             q = tuple(self.ring.canon(c) for c in q.coords)
         return q + self.identity()[: self.top]
 
-    def lift(self, q, z):
-        # section(q) is 0 on the top kept superdiagonal and the centre is 0
-        # below it, so their product puts z on top of q's entries
-        return self.section(q)[: -self.top] + tuple(self.ring.canon(c) for c in z)
+    def lift(self, g, z, depth):
+        # g is the section of its image one level down, 0 on the top kept
+        # superdiagonal, and the centre is 0 below it, so their product puts
+        # z on top of g's other entries; a deeper level is written in the
+        # quotient and sectioned back
+        if depth:
+            return self.section(self.quotient.lift(self.project(g), z, depth - 1))
+        return g[: -self.top] + tuple(self.ring.canon(c) for c in z)
 
     def elements(self):
         return itertools.product(range(self.ring.modulus), repeat=len(self.positions))
@@ -469,9 +496,9 @@ def test_solve_divisible_negative_exponents():
 
 def test_centrality_guard_fires_on_broken_section():
     class Broken(type(H3)):
-        def section(self, q):
-            good = super().section(q)
-            return self.multiply(good, (1, 0, 0))  # not a coset representative choice
+        def lift(self, g, z, depth):
+            good = super().lift(g, z, depth)
+            return self.multiply(good, (1, 0, 0))  # not the value the level solved for
 
     broken = Broken(H3.ring)
     system = WordSystem(broken, [GroupEquation([VarPow("x", 1), Const((1, 2, 1))])])
@@ -660,20 +687,38 @@ def test_center_coords_is_the_projected_centre(G):
     ids=["H(Z/9)", "H(Z/8)", "H(Q)", "UT4(Z/2)-2", "UT4(Z/2)-3", "UT4(Q)-2", "UT4(Q)-3"],
 )
 def test_lift_is_section_times_centre(G):
-    # the recursion joins a quotient value and centre coordinates with lift;
-    # it must be the product that it replaces
+    # the recursion writes each level's centre coordinates z into a value in
+    # G with lift: on the sections of a q one level down (the identity at the
+    # bottom) it must give the sections of section(q) * center_embed(z) at
+    # the level, and center_coords must read z back off the lift of the
+    # identity, which is central there
+    levels = [G]
+    while levels[-1].quotient is not None:
+        levels.append(levels[-1].quotient)
+
+    def sections(g, depth):  # g at level depth, carried up to G
+        for K in reversed(levels[:depth]):
+            g = K.section(g)
+        return g
+
     rng = random.Random("lift")
     for _ in range(60):
-        q = G.quotient.random_element(rng)
-        z = G.center_group.random_element(rng)
-        assert G.lift(q, z.coords) == G.multiply(G.section(q), G.center_embed(z))
+        for depth, H in enumerate(levels):
+            z = H.center_group.random_element(rng)
+            if H.quotient is None:
+                g, want = G.identity(), H.center_embed(z)
+            else:
+                q = H.section(H.quotient.random_element(rng))
+                g, want = sections(q, depth), H.multiply(q, H.center_embed(z))
+            assert G.lift(g, z.coords, depth) == sections(want, depth)
+            central = G.lift(G.identity(), z.coords, depth)
+            assert central == sections(H.center_embed(z), depth)
+            assert G.center_coords(central, depth) == z.coords
 
 
 def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
-    # Heisenberg(Q) has two levels; an answer needs one abelian element per
-    # variable, its value over the abelian quotient.  Each level's right-hand
-    # side is read off a triple by center_coords, and the lift and the
-    # Heisenberg arithmetic build none
+    # Heisenberg(Q) has two levels, and both are read off and written into
+    # triples, by center_coords and lift: no abelian element is built
     from groupeq.abelian import AbelianGroupDescriptor
 
     calls = []
@@ -687,7 +732,7 @@ def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
     assert (len(system.equations), len(system.variables)) == (7, 12)
     monkeypatch.setattr(AbelianGroupDescriptor, "element", counted)
     solution = solve_nilpotent_divisible(system)
-    assert len(calls) <= len(system.variables)
+    assert calls == []
     for eq in system.equations:
         assert evaluate_word(HQ, eq, solution.assignment) == HQ.identity()
 
@@ -695,7 +740,7 @@ def test_solve_divisible_builds_few_abelian_elements(monkeypatch):
 def test_solve_divisible_evaluates_constants_only_at_the_bottom(monkeypatch):
     # each word is evaluated three times: at the bottom level, where every
     # variable is 1, its constants alone, inverted; at the top its whole
-    # inverse, on the sections of the answer below; and in verification the
+    # inverse, on the answer below written into G; and in verification the
     # word itself on the answer
     calls = []
     evaluate = HeisenbergGroup.evaluate
