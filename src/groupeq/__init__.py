@@ -6,7 +6,6 @@ from .abelian import (
     GroupElement,
     Summand,
     divide_exact,
-    height_p,
     order,
     primary_component,
 )
@@ -20,7 +19,7 @@ from .counterexamples import (
     zbad_bound_check,
 )
 from .errors import GroupEqError
-from .intmath import INFINITE, crt_pair, inv_mod, val_p
+from .intmath import INFINITE, crt_pair, inv_mod
 from .nilpotent import (
     HeisenbergGroup,
     TableGroup,
@@ -53,7 +52,6 @@ from .systems import (
     SingularityReport,
     VarPow,
     classify_matrix,
-    classify_stream,
     exponent_row,
     is_nonsingular,
     is_p_nonsingular,

@@ -8,8 +8,9 @@ They are enforced in one place, ``Summand.canon``, which
 ``AbelianGroupDescriptor.element`` applies to each coordinate and a Heisenberg
 group in ``nilpotent`` to each of its scalars.  A coordinate already in
 canonical form passes through unchanged: a reduced residue reduces to itself,
-and a ``Fraction`` on a rational line is kept, not copied.  Sums of elements
-are formed in one place, ``_sum``, one coordinate column at a time:
+a ``Fraction`` on a rational line is kept, not copied, and so is a Prüfer
+``Fraction`` in [0, 1) once its p-power denominator is checked.  Sums of
+elements are formed in one place, ``_sum``, one coordinate column at a time:
 ``AbelianGroupDescriptor.combine`` applies it to each summand and
 canonicalises the whole linear combination once.  Exact division is done
 one coordinate at a time too, by ``_root``, on an integer numerator and
@@ -31,12 +32,11 @@ from typing import Iterator
 
 from .errors import (
     DescriptorMismatch,
-    NotAPGroup,
     NotDivisible,
     NotPeriodic,
     ParseError,
 )
-from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime, inv_mod, val_p
+from .intmath import INFINITE, MAX_MODULUS_BITS, check_prime, inv_mod
 
 CYCLIC = "cyclic"
 PRUFER = "prufer"
@@ -100,7 +100,9 @@ class Summand:
         """Coordinate c in its canonical form; a canonical c comes back unchanged.
         A cyclic or integer coordinate must be an int, a Prüfer or rational one
         an int or a Fraction; anything else, bools included, is a ValueError,
-        not truncated or parsed."""
+        not truncated or parsed.  A Prüfer Fraction already in [0, 1) is
+        returned as it is once its denominator is checked to be a power of p;
+        any other Prüfer coordinate is reduced mod 1 into one new Fraction."""
         kind = self.kind
         if kind == CYCLIC:
             if type(c) is int:
@@ -114,14 +116,15 @@ class Summand:
             if type(c) is int:
                 return c
         elif type(c) is int or type(c) is Fraction:
-            f = Fraction(c)
-            f = Fraction(f.numerator % f.denominator, f.denominator)
-            d = f.denominator
+            num, den = c.as_integer_ratio()
+            d = den
             while d % self.p == 0:
                 d //= self.p
             if d != 1:
                 raise ValueError(f"{c} is not a valid Prufer({self.p}) coordinate")
-            return f
+            if 0 <= num < den and type(c) is Fraction:
+                return c
+            return Fraction(num % den, den)
         what = "an int" if kind == CYCLIC or kind == INTEGER else "an int or a Fraction"
         raise ValueError(f"a {self!r} coordinate must be {what}, got {c!r}")
 
@@ -298,20 +301,6 @@ def order(a: GroupElement):
         elif c != 0:
             return INFINITE
     return n
-
-
-def height_p(a: GroupElement, p: int):
-    """Height of a in an abelian p-group: the maximal k such that p**k * x = a
-    is solvable; INFINITE when every power works (0, or Prüfer coordinates)."""
-    check_prime(p)
-    for s in a.descriptor.summands:
-        if not (s.is_torsion and s.p == p):
-            raise NotAPGroup(f"descriptor contains non-{p}-group summand {s!r}")
-    h = INFINITE
-    for s, c in zip(a.descriptor.summands, a.coords):
-        if s.kind == CYCLIC and c != 0:
-            h = min(h, val_p(int(c), p))
-    return h
 
 
 def primary_part(A: AbelianGroupDescriptor, p: int):

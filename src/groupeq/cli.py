@@ -36,6 +36,7 @@ from .nilpotent import (
 from .randgen import random_unimodular_stream
 from .solve_abelian import EchelonState, solve_auto
 from .systems import (
+    AbelianSystem,
     abelian_system_from_json,
     classify_matrix,
     parse_matrix_text,
@@ -192,7 +193,8 @@ def cmd_stream(args) -> int:
         while next_eq < depth:
             state.ingest(stream.gen(next_eq))
             next_eq += 1
-        ok = verify_solution(stream.truncation(depth), state.solution().assignment)
+        # the truncation is the equations the state holds: none is generated again
+        ok = verify_solution(AbelianSystem(group, state.equations), state.solution().assignment)
         results.append({"depth": depth, "verified": ok})
     if args.format == "json":
         print(_dump({"seed": args.seed, "results": results}))

@@ -12,8 +12,8 @@ import math
 from .errors import NonCoprimeModuli, NotAUnit, NotPrime, OutOfRange
 
 # Exact values stay ints; INFINITE only ever marks "no finite answer"
-# (valuation of 0, order of a torsion-free element, height in a divisible
-# summand).  It compares correctly against any int.
+# (order of a torsion-free element, period or size of an unbounded group).
+# It compares correctly against any int.
 INFINITE = math.inf
 
 # Cap on the bits of a modulus p**e, checked as e * (p - 1).bit_length()
@@ -62,19 +62,6 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
-
-
-def val_p(n: int, p: int):
-    """p-adic valuation of n: the largest k with p**k | n; INFINITE for n = 0."""
-    check_prime(p)
-    if n == 0:
-        return INFINITE
-    k = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
 
 
 def inv_mod(a: int, m: int) -> int:

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import CYCLIC, INTEGER, AbelianGroupDescriptor, GroupElement, _root
+from .abelian import CYCLIC, INTEGER, PRUFER, AbelianGroupDescriptor, GroupElement, _root
 from .errors import (
     DependentRow,
     MissingPrimeNonsingularity,
@@ -74,7 +74,7 @@ class Solution:
 
     Every solver's Solution is verified against its system; the one
     ``EchelonState.solution()`` returns is not (``cli.cmd_stream`` verifies it
-    against the stream truncation).
+    against the equations the state has ingested).
     """
 
     group: object
@@ -195,10 +195,12 @@ def _solve_columns(group: AbelianGroupDescriptor, rows, rhs, variables, hermite=
     choice and by V.  Each divisible column y is kept as integer numerators
     over one common denominator, which a root multiplies, so the sums are
     plain int sums and a Fraction is built only for each variable's
-    coordinate.  (L, V) is ``hermite`` when the caller has it, else
-    ``_column_hermite`` of the rows, which refuses a singular system with
-    Singular and ``is_nonsingular``'s witness.  Over the group with no
-    summands every system is solved by zeros.
+    coordinate, a Prüfer numerator reduced mod the denominator first, so
+    that the Fraction is canonical and ``element`` keeps it.  (L, V) is
+    ``hermite`` when the caller has it, else ``_column_hermite`` of the
+    rows, which refuses a singular system with Singular and
+    ``is_nonsingular``'s witness.  Over the group with no summands every
+    system is solved by zeros.
     """
     components = _components(group)
     for comp in components:
@@ -229,7 +231,8 @@ def _solve_columns(group: AbelianGroupDescriptor, rows, rhs, variables, hermite=
                     den = root_den
                 y.append(num)
             for var, entries in zip(variables, support):
-                coords[var][t] = Fraction(sum(v * y[j] for j, v in entries), den)
+                num = sum(v * y[j] for j, v in entries)
+                coords[var][t] = Fraction(num % den if s.kind == PRUFER else num, den)
     return coords
 
 

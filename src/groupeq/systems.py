@@ -20,6 +20,14 @@ the certificate's F*c come from substitution in them, not from a carried
 transform.  The elimination mod p works on [M | I], so the first row that
 reduces to zero carries the witness in its last k entries, and the column
 Hermite form works on M stacked over I, so the lower block ends as V.
+
+``verify_solution`` checks an abelian system on integer coordinate columns,
+the result check at the solvers' public boundary: each value's coordinates
+are read once through ``Summand.canon``, and each equation's sum is formed
+per summand as an int (mod p**e on a cyclic summand) or as an integer
+numerator over the lcm of the denominators (Q and Prüfer), then compared
+with the right-hand side's coordinate by cross-multiplication.  It builds
+no element and no Fraction.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .abelian import (
+    PRUFER,
+    RATIONAL,
     AbelianGroupDescriptor,
     GroupElement,
     _expect_fields,
@@ -524,13 +534,6 @@ def classify_matrix(M, primes=()) -> SingularityReport:
     return report
 
 
-def classify_stream(stream: EquationStream, depth: int, primes=()) -> SingularityReport:
-    """Classify the depth-N truncation of a stream, recording the depth."""
-    report = classify_matrix(stream.truncation(depth).matrix(), primes)
-    report.checked_depth = depth
-    return report
-
-
 # -- column Hermite form ---------------------------------------------------------
 
 
@@ -568,21 +571,77 @@ def _column_hermite(rows: list[list[int]]):
 
 
 def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
-    """True iff every equation of the (truncated) system is satisfied exactly."""
+    """True iff every equation of the (truncated) system is satisfied exactly.
+
+    An abelian system is checked equation by equation, in order, on integer
+    coordinate columns: MissingVariable for a variable the assignment lacks,
+    then DescriptorMismatch for a value from another group.  Each value's
+    coordinates are read once, through ``Summand.canon``, so a coordinate
+    that ``element`` would refuse is a ValueError.  Per summand, the
+    equation's sum sum(k*c) is compared with the right-hand side's
+    coordinate as given: mod p**e on a cyclic summand, exactly on Z, and on
+    Q and Prüfer summands as an integer numerator over the running lcm of
+    the denominators (reduced mod 1 on Prüfer), cross-multiplied.  No
+    element and no Fraction is built.
+    """
     if isinstance(system, AbelianSystem):
-        for eq in system.equations:
-            for v in eq.coeffs:
-                if v not in assignment:
-                    raise MissingVariable(f"assignment lacks variable {v!r}")
-            if system.group.combine((assignment[v], k) for v, k in eq.coeffs.items()) != eq.rhs:
-                return False
-        return True
+        return _verify_columns(system, assignment)
     from .nilpotent import WordSystem, evaluate_word  # deferred: avoids an import cycle
 
     if isinstance(system, WordSystem):
         G = system.group
         return all(evaluate_word(G, eq, assignment) == G.identity() for eq in system.equations)
     raise TypeError(f"unknown system type {type(system)!r}")
+
+
+def _verify_columns(system: AbelianSystem, assignment) -> bool:
+    """``verify_solution`` on an abelian system, one coordinate column at a time."""
+    group = system.group
+    summands = group.summands
+    # a value's canonical coordinates: an int, or a (numerator, denominator)
+    # pair on a divisible summand
+    columns: dict[str, list] = {}
+    plan = [(t, s.kind, s.modulus) for t, s in enumerate(summands)]
+    for eq in system.equations:
+        coeffs = eq.coeffs
+        for v in coeffs:
+            if v not in assignment:
+                raise MissingVariable(f"assignment lacks variable {v!r}")
+        fresh = [v for v in coeffs if v not in columns]
+        for v in fresh:
+            d = assignment[v].descriptor
+            if d is not group and d != group:
+                raise DescriptorMismatch("elements live in different groups")
+        for v in fresh:
+            columns[v] = [
+                s.canon(c).as_integer_ratio() if s.is_divisible else s.canon(c)
+                for s, c in zip(summands, assignment[v].coords)
+            ]
+        terms = [(k, columns[v]) for v, k in coeffs.items()]
+        rhs = eq.rhs.coords
+        if len(rhs) != len(summands):
+            return False
+        for t, kind, m in plan:
+            b = rhs[t]
+            if kind == PRUFER or kind == RATIONAL:
+                num, den = 0, 1
+                for k, c in terms:
+                    n, d = c[t]
+                    if den % d:
+                        lcm = math.lcm(den, d)
+                        num *= lcm // den
+                        den = lcm
+                    num += k * n * (den // d)
+                if kind == PRUFER:
+                    num %= den
+                bn, bd = b.as_integer_ratio()
+                if num * bd != bn * den:
+                    return False
+            else:
+                total = sum([k * c[t] for k, c in terms])
+                if (total if m is None else total % m) != b:
+                    return False
+    return True
 
 
 # -- parsing ----------------------------------------------------------------------

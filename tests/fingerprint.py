@@ -11,8 +11,10 @@ An answer is recorded with the type and value of every coordinate and with
 its ``Solution.to_json()`` text, a refusal with its exception type, message,
 prime, witness and divisors.  The corpus covers the four public abelian
 solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
-``EchelonState`` checkpoints with an injected dependent row, the nilpotent
-solvers on Heisenberg groups and abelian handles, ``brute_force_group_solve``
+``verify_solution``'s verdicts on right and on perturbed answers over
+mixed groups with Z (see ``verify_corpus``), ``EchelonState`` checkpoints
+with an injected dependent row, the nilpotent solvers on Heisenberg groups
+and abelian handles, ``brute_force_group_solve``
 on the H(Z/2) systems carried to its multiplication table, hand-built
 word systems and word values over H(Q) and H(Z/8) (see ``word_corpus``),
 ``classify_matrix`` JSON on small matrices, on square and wide ones up
@@ -115,6 +117,86 @@ def abelian_corpus(c: Corpus) -> None:
         stream = random_unimodular_stream(mixed, f"fp-trunc:{i}")
         for depth in (1, 5, 12):
             c.run(f"truncation {i} {depth}", solve_auto, stream.truncation(depth))
+
+
+def verify_corpus(c: Corpus) -> None:
+    """``verify_solution``'s verdict, or its exception type, on abelian
+    systems over mixed groups with cyclic, Prüfer, Q and Z summands.
+
+    Each system's right-hand sides are the sums of a random assignment.  Its
+    answer is ``solve_auto``'s, or that assignment where the solver refuses
+    the system or the group has an integer line.  The verdict is recorded
+    for the answer; for the answer with one coordinate of each summand
+    changed to another group element; for the answer with every coordinate
+    written in an equal non-canonical form (c + p**e, Prüfer c + 1, an
+    integral rational as an int); for one right-hand side written in that
+    form; and for an assignment that lacks a variable or holds a value of
+    another group.  Every coordinate is an int or a Fraction.
+    """
+    from fractions import Fraction
+
+    from groupeq.abelian import AbelianGroupDescriptor, GroupElement, Summand
+    from groupeq.errors import GroupEqError
+    from groupeq.solve_abelian import solve_auto
+    from groupeq.systems import AbelianEquation, AbelianSystem, verify_solution
+
+    pool = [Summand.cyclic(2, 3), Summand.cyclic(3, 2), Summand.cyclic(5, 1), Summand.prufer(3),
+            Summand.prufer(2), Summand.rational(), Summand.integer()]
+
+    def moved(s, x, same):
+        """x written another way when same, else another element of s."""
+        if s.kind == "cyclic":
+            return x + s.modulus if same else x + 1
+        if s.kind == "prufer":
+            return x + 1 if same else x + Fraction(1, s.p)
+        if s.kind == "q":
+            return (int(x) if x.denominator == 1 else x) if same else x + Fraction(1, 2)
+        return x if same else x + 1
+
+    def verdict(tag, system, assignment):
+        try:
+            c.record(tag, str(verify_solution(system, assignment)))
+        except GroupEqError as exc:
+            c.record(tag, type(exc).__name__)
+
+    for i in range(300):
+        rng = random.Random(f"fp-verify:{i}")
+        group = AbelianGroupDescriptor(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+        summands = group.summands
+        variables = [f"v{j}" for j in range(rng.randint(1, 4))]
+        x = {v: group.random_element(rng) for v in variables}
+        equations = []
+        for _ in range(rng.randint(1, len(variables) + 1)):
+            coeffs = {v: rng.randint(-4, 4) for v in variables}
+            rhs = group.combine((x[v], k) for v, k in coeffs.items())
+            equations.append(AbelianEquation(coeffs, rhs))
+        system = AbelianSystem(group, equations, variables)
+        answer = x
+        if not any(s.kind == "z" for s in summands):
+            try:
+                answer = solve_auto(system).assignment
+            except GroupEqError:
+                pass
+        verdict(f"verify {i} {group!r}", system, answer)
+        for t, s in enumerate(summands):
+            v = rng.choice(variables)
+            coords = list(answer[v].coords)
+            coords[t] = moved(s, coords[t], False)
+            changed = GroupElement(group, tuple(coords))
+            verdict(f"verify {i} moved {t} {v}", system, {**answer, v: changed})
+
+        def rewritten(g):
+            return GroupElement(group, tuple(moved(s, a, True) for s, a in zip(summands, g.coords)))
+
+        verdict(f"verify {i} rewritten", system, {v: rewritten(g) for v, g in answer.items()})
+        j = rng.randrange(len(equations))
+        equations[j] = AbelianEquation(equations[j].coeffs, rewritten(equations[j].rhs))
+        verdict(f"verify {i} rhs {j}", AbelianSystem(group, equations, variables), answer)
+        v = rng.choice(variables)
+        verdict(f"verify {i} missing {v}", system, {u: g for u, g in answer.items() if u != v})
+        other = AbelianGroupDescriptor((*summands, Summand.cyclic(7, 1)))
+        stranger = other.element((*answer[v].coords, 0))
+        verdict(f"verify {i} other {v}", system, {**answer, v: stranger})
 
 
 def echelon_corpus(c: Corpus) -> None:
@@ -349,7 +431,15 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, argv[1])
     corpus = Corpus()
-    parts = (abelian_corpus, echelon_corpus, nilpotent_corpus, word_corpus, matrix_corpus, report_corpus)
+    parts = (
+        abelian_corpus,
+        verify_corpus,
+        echelon_corpus,
+        nilpotent_corpus,
+        word_corpus,
+        matrix_corpus,
+        report_corpus,
+    )
     for part in parts:
         part(corpus)
     print(corpus.digest())

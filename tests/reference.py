@@ -22,7 +22,10 @@ another route, so an agreement between the two is evidence for both:
 
 Beside them, ``PrimePower`` and ``factor_small`` factor an integer by trial
 division, which the library never needs; tests use them to name the primes
-of a determinant.
+of a determinant.  ``val_p`` (the p-adic valuation), ``height_p`` (the
+height of an element of a p-group) and ``classify_stream`` (the
+classification of a stream truncation, with its depth recorded) have no
+caller in the library either.
 
 None of them is part of the ``groupeq`` package, and nothing there calls them.
 """
@@ -41,11 +44,24 @@ from groupeq.abelian import (
     GroupElement,
     Summand,
 )
-from groupeq.errors import DescriptorMismatch, OutOfRange, UnsupportedGroup, VerificationFailed
-from groupeq.intmath import check_prime
+from groupeq.errors import (
+    DescriptorMismatch,
+    NotAPGroup,
+    OutOfRange,
+    UnsupportedGroup,
+    VerificationFailed,
+)
+from groupeq.intmath import INFINITE, check_prime
 from groupeq.nilpotent import TableGroup
 from groupeq.solve_abelian import Solution, _checked, solve_mod_p
-from groupeq.systems import AbelianEquation, AbelianSystem, _dense
+from groupeq.systems import (
+    AbelianEquation,
+    AbelianSystem,
+    EquationStream,
+    SingularityReport,
+    _dense,
+    classify_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -391,3 +407,37 @@ def factor_small(n: int) -> list[PrimePower]:
     if rest > 1:
         out.append(PrimePower(rest, 1))
     return out
+
+
+def val_p(n: int, p: int):
+    """p-adic valuation of n: the largest k with p**k | n; INFINITE for n = 0."""
+    check_prime(p)
+    if n == 0:
+        return INFINITE
+    k = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def height_p(a: GroupElement, p: int):
+    """Height of a in an abelian p-group: the maximal k such that p**k * x = a
+    is solvable; INFINITE when every power works (0, or Prüfer coordinates)."""
+    check_prime(p)
+    for s in a.descriptor.summands:
+        if not (s.is_torsion and s.p == p):
+            raise NotAPGroup(f"descriptor contains non-{p}-group summand {s!r}")
+    h = INFINITE
+    for s, c in zip(a.descriptor.summands, a.coords):
+        if s.kind == CYCLIC and c != 0:
+            h = min(h, val_p(int(c), p))
+    return h
+
+
+def classify_stream(stream: EquationStream, depth: int, primes=()) -> SingularityReport:
+    """Classify the depth-N truncation of a stream, recording the depth."""
+    report = classify_matrix(stream.truncation(depth).matrix(), primes)
+    report.checked_depth = depth
+    return report

@@ -10,14 +10,13 @@ from groupeq.abelian import (
     Summand,
     divide_exact,
     element_from_json,
-    height_p,
     order,
     primary_component,
 )
 from groupeq.errors import DescriptorMismatch, NotAPGroup, NotDivisible, NotPeriodic
 from groupeq.intmath import INFINITE
 from groupeq.systems import AbelianEquation, AbelianSystem
-from reference import mod_p_quotient
+from reference import height_p, mod_p_quotient
 
 
 def Z(p, e):

@@ -519,6 +519,34 @@ def test_stream_json_deterministic(files, capsys):
     assert out1 == out2
 
 
+def test_stream_generates_each_equation_once(files, capsys, monkeypatch):
+    from groupeq import cli
+    from groupeq.randgen import random_unimodular_stream
+    from groupeq.systems import EquationStream
+
+    calls = []
+
+    def counted(group, seed):
+        stream = random_unimodular_stream(group, seed)
+
+        def gen(i):
+            calls.append(i)
+            return stream.gen(i)
+
+        return EquationStream(group, gen)
+
+    monkeypatch.setattr(cli, "random_unimodular_stream", counted)
+    group = files(
+        "g.json",
+        '{"summands":[{"kind":"cyclic","p":2,"e":3},{"kind":"cyclic","p":3,"e":2},'
+        '{"kind":"cyclic","p":5,"e":1}]}',
+    )
+    code, out, _ = run(capsys, "stream", "--group", group, "--depths", "10,50,500,2000")
+    assert code == 0
+    assert out.splitlines() == [f"depth {d}: PASS" for d in (10, 50, 500, 2000)]
+    assert calls == list(range(2000))
+
+
 def test_demo_json_deterministic(capsys):
     args = ("--format", "json", "demo", "pbad", "--depth", "6")
     _, out1, _ = run(capsys, *args)

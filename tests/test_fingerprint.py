@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-FINGERPRINT = "17453 278b5832a360502fe1812460281a39433984b8ee9ee0541d98b401c4ea99e733"
+FINGERPRINT = "19736 15ea6f8f6e07a0e3be22e045d11c83a7911d95055a8de2f4fa6aa38b426b3154"
 
 
 def test_corpus_fingerprint_is_pinned():

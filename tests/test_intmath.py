@@ -11,9 +11,8 @@ from groupeq.intmath import (
     crt_pair,
     inv_mod,
     is_prime,
-    val_p,
 )
-from reference import PrimePower, factor_small
+from reference import PrimePower, factor_small, val_p
 
 
 def val_p_oracle(n, p):

