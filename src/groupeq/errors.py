@@ -27,10 +27,6 @@ class DescriptorMismatch(GroupEqError):
     pass
 
 
-class NotAPGroup(GroupEqError):
-    pass
-
-
 class NotPeriodic(GroupEqError):
     pass
 

@@ -10,15 +10,16 @@ a table group left to right.
 
 A handle's central series runs G = G_0, G_1 = G_0/Z(G_0), ... down to the
 first class-1 handle, whose ``quotient`` is None; each level's centre is an
-abelian descriptor, ``center_group``.  ``center_embed``, ``center_recognize``,
-``project`` and ``section`` map between a level, its centre and its quotient,
-and define the two maps with which the top handle reads and writes every
-level as a block of its own coordinates (Mal'cev coordinates):
-``center_coords(g, depth)`` gives the centre coordinates of g's image
-``depth`` quotients down, or None when it is not central there, and
-``lift(g, z, depth)``, for g the sections of its image q one level further
-down (the identity at the bottom), the sections of section(q) *
-center_embed(z) at the level.  The solvers call only these members of a
+abelian descriptor, ``center_group``, which ``center_embed`` and
+``center_recognize`` carry into and out of the level.  The top handle reads
+and writes every level as a block of its own coordinates (Mal'cev
+coordinates): a Heisenberg triple (a, b, c) holds the block (a, b) of
+G/Z(G) and the block (c,) of Z(G).  ``center_coords(g, depth)`` gives the
+block of g's image ``depth`` quotients down, or None when that image is not
+central there, and ``lift(g, z, depth)``, for a g whose blocks from that
+level up are still zero, writes z as g's block at the level: the image one
+level down times center_embed(z), with zero blocks above as the coset
+representatives.  The solvers call only these members of a
 handle: ``identity``, ``evaluate``, ``center_coords``, ``lift`` and, for a
 failed centrality check's message, ``invert`` on the top handle; its
 ``period_bound`` (bounded solver); and each level's ``center_group`` and
@@ -33,7 +34,7 @@ group's as indices in range(order), so one word-system codec serves them all,
 and a ``Solution`` over the handle writes its values with the same method.
 
 The solver recursion: solve the induced system over G/Z(G), lift the
-solution through the section, substitute x -> c*x, check that every
+solution with ``lift``, substitute x -> c*x, check that every
 coefficient product b_i landed in the center, and finish with one abelian
 solve over the center.  Every variable's value is an element of G from the
 start, the identity, and each level from the bottom up writes its centre
@@ -70,15 +71,15 @@ from .abelian import (
 )
 from .errors import (
     CentralityAssertionFailed,
+    DescriptorMismatch,
     MissingVariable,
     NotUnimodular,
     ParseError,
-    SearchSpaceTooLarge,
     UnsupportedGroup,
     VerificationFailed,
 )
 from .intmath import INFINITE
-from .solve_abelian import BRUTE_FORCE_LIMIT, Solution, _checked, _solve_columns
+from .solve_abelian import Solution, _checked, _first_solution, _solve_columns
 from .systems import (
     Const,
     EquationSystem,
@@ -86,7 +87,7 @@ from .systems import (
     VarPow,
     _column_hermite,
     _exponent_matrix,
-    elementary_divisors,
+    classify_matrix,
     exponent_row,
     variables_from_json,
 )
@@ -233,17 +234,6 @@ class HeisenbergGroup:
             return g[:2]
         return None if g[0] or g[1] else g[2:]
 
-    # -- quotient by the center --------------------------------------------
-
-    def project(self, g) -> GroupElement:
-        return self.quotient.descriptor.element([g[0], g[1]])
-
-    def section(self, q: GroupElement):
-        """Coset representative choice: (a, b) lifts to (a, b, 0).  The
-        quotient's coordinates are canonical scalars already."""
-        a, b = q.coords
-        return (a, b, self._zero)
-
     def lift(self, g, z, depth: int):
         """g with centre coordinates z written at ``depth`` (``center_coords``
         reads them): (z0, z1, 0) at depth 1, (a, b, z0) at 0 for g = (a, b, 0)."""
@@ -365,6 +355,46 @@ def evaluate_word(group, equation: GroupEquation, assignment) -> object:
     return group.evaluate(terms)
 
 
+def _read(group, g):
+    """An assigned value as the handle's canonical element, read as the handle
+    reads its own: a Heisenberg triple by ``element``, an abelian handle's
+    value by its descriptor's ``element`` once the descriptor is checked, a
+    table index as an int in range(order).  Anything else, a bool included,
+    is a ValueError; a handle of another kind keeps g as it is."""
+    if isinstance(group, HeisenbergGroup):
+        if type(g) is tuple and len(g) == 3:
+            return group.element(*g)
+    elif isinstance(group, AbelianHandle):
+        if isinstance(g, GroupElement):
+            if g.descriptor != group.descriptor:
+                raise DescriptorMismatch("elements live in different groups")
+            return group.descriptor.element(g.coords)
+    elif not isinstance(group, TableGroup) or type(g) is int and 0 <= g < group.order:
+        return g
+    raise ValueError(f"{g!r} is not an element of the group")
+
+
+def _verify_words(system: WordSystem, assignment) -> bool:
+    """``verify_solution`` on a word system, equation by equation, in order:
+    MissingVariable for a variable of the word that the assignment lacks,
+    then each value that no earlier word used read once by ``_read``, and
+    the word evaluated on the values read."""
+    G = system.group
+    values: dict = {}
+    for eq in system.equations:
+        fresh = dict.fromkeys(
+            lit.var for lit in eq.word if isinstance(lit, VarPow) and lit.var not in values
+        )
+        for v in fresh:
+            if v not in assignment:
+                raise MissingVariable(f"assignment lacks variable {v!r}")
+        for v in fresh:
+            values[v] = _read(G, assignment[v])
+        if evaluate_word(G, eq, values) != G.identity():
+            return False
+    return True
+
+
 def commutator(group, g, h):
     """[g, h] = g^-1 h^-1 g h."""
     return group.multiply(
@@ -440,7 +470,7 @@ def solve_nilpotent_bounded(system: WordSystem) -> Solution:
     if system.group.period_bound is INFINITE:
         raise UnsupportedGroup("group period is not bounded")
     rows = [exponent_row(eq) for eq in system.equations]
-    divisors = elementary_divisors(_exponent_matrix(rows, system.variables))
+    divisors = classify_matrix(_exponent_matrix(rows, system.variables)).divisors
     if divisors != [1] * len(rows):
         raise NotUnimodular(divisors=divisors)
     return _checked(system, _solve_recursive(system, rows, _centres(system.group)))
@@ -603,39 +633,15 @@ def brute_force_group_solve(system: WordSystem) -> Solution | None:
     G = system.group
     if not isinstance(G, TableGroup):
         raise UnsupportedGroup("brute force runs over table groups")
-    variables = system.variables
-    if G.order ** max(len(variables), 1) > BRUTE_FORCE_LIMIT:
-        raise SearchSpaceTooLarge(f"{G.order}**{len(variables)} exceeds {BRUTE_FORCE_LIMIT}")
 
-    var_pos = {v: i for i, v in enumerate(variables)}
-    staged: list[list[GroupEquation]] = [[] for _ in range(len(variables) + 1)]
-    for eq in system.equations:
-        last = max((var_pos[v] for v in eq.variables()), default=-1)
-        staged[last + 1].append(eq)
-    for eq in staged[0]:
-        if evaluate_word(G, eq, {}) != G.identity():
-            return None
+    identity = G.identity()
 
-    assignment: dict[str, int] = {}
+    def holds(eq, assignment) -> bool:
+        return evaluate_word(G, eq, assignment) == identity
 
-    def search(depth: int):
-        if depth == len(variables):
-            return dict(assignment)
-        for candidate in range(G.order):
-            assignment[variables[depth]] = candidate
-            if all(
-                evaluate_word(G, eq, assignment) == G.identity() for eq in staged[depth + 1]
-            ):
-                found = search(depth + 1)
-                if found is not None:
-                    return found
-        del assignment[variables[depth]]
-        return None
-
-    found = search(0)
-    if found is None:
-        return None
-    return _checked(system, found)
+    equations = [(eq.variables(), eq) for eq in system.equations]
+    found = _first_solution(system.variables, G.order, range(G.order), equations, holds)
+    return None if found is None else _checked(system, found)
 
 
 # -- JSON wire format -------------------------------------------------------------------
@@ -685,17 +691,3 @@ def word_system_from_json(obj: dict, group) -> WordSystem:
                 word.append(VarPow(var, int_from_json(lit["exp"])))
         equations.append(GroupEquation(word))
     return WordSystem(group, equations, variables=variables_from_json(obj))
-
-
-def word_system_to_json(system: WordSystem) -> dict:
-    G = system.group
-    eqs = []
-    for eq in system.equations:
-        word = []
-        for lit in eq.word:
-            if isinstance(lit, Const):
-                word.append({"const": G.element_to_json(lit.value)})
-            else:
-                word.append({"var": lit.var, "exp": lit.exp})
-        eqs.append({"word": word})
-    return {"vars": list(system.variables), "equations": eqs}

@@ -35,9 +35,12 @@ The verification boundary is the public call: these four solvers and the
 nilpotent ones each check their answer against the input system exactly
 once, through ``_checked``, before returning it; the core, ``_solve`` and
 the nilpotent recursion check nothing.  The oracles check through
-``_checked`` too; ``EchelonState.solution`` is not verified.  Free variables
-are always assigned 0 and pivots take the lowest-ordered eligible variable,
-so outputs are deterministic.
+``_checked`` too; ``EchelonState.solution`` is not verified.  Both
+brute-force oracles, ``brute_force_solve`` here and
+``nilpotent.brute_force_group_solve``, are one exhaustive search,
+``_first_solution``, with the oracle's own domain and equation check.
+Free variables are always assigned 0 and pivots take the lowest-ordered
+eligible variable, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -339,10 +342,47 @@ class EchelonState:
         return Solution(self.group, {v: self.group.element(c) for v, c in coords.items()})
 
 
-# -- brute force oracle -------------------------------------------------------------
+# -- brute force oracles -----------------------------------------------------------
 
 
 BRUTE_FORCE_LIMIT = 10**7
+
+
+def _first_solution(variables, size, domain, equations, holds) -> dict | None:
+    """The first assignment of values from ``domain`` to ``variables`` under
+    which every equation holds, or None when there is none.
+
+    The search is exhaustive and depth first: variables are assigned in
+    order and values tried in domain order, so the first hit is the least
+    one in that order.  ``equations`` holds (support, equation) pairs, and
+    each equation is checked, as holds(equation, assignment), once the last
+    variable of its support is assigned; those with an empty support are
+    checked first.  A space of more than BRUTE_FORCE_LIMIT assignments, for
+    ``size`` values per variable, is refused with SearchSpaceTooLarge before
+    the domain is listed.
+    """
+    n = len(variables)
+    if size ** max(n, 1) > BRUTE_FORCE_LIMIT:
+        raise SearchSpaceTooLarge(f"{size}**{n} exceeds {BRUTE_FORCE_LIMIT}")
+    stages: list[list] = [[] for _ in range(n + 1)]
+    for support, eq in equations:
+        stages[max(map(variables.index, support), default=-1) + 1].append(eq)
+    assignment: dict = {}
+    if not all(holds(eq, assignment) for eq in stages[0]):
+        return None
+    domain = list(domain)
+
+    def search(depth: int) -> bool:
+        if depth == n:
+            return True
+        var, stage = variables[depth], stages[depth + 1]
+        for candidate in domain:
+            assignment[var] = candidate
+            if all(holds(eq, assignment) for eq in stage) and search(depth + 1):
+                return True
+        return False
+
+    return {v: assignment[v] for v in variables} if search(0) else None
 
 
 def brute_force_solve(system: AbelianSystem) -> Solution | None:
@@ -354,53 +394,25 @@ def brute_force_solve(system: AbelianSystem) -> Solution | None:
     Returns None when the whole space is exhausted without a solution.
     """
     A = system.group
-    size = A.size()
     if not A.is_bounded:
         raise UnsupportedGroup("brute force needs a finite group")
-    variables = system.variables
-    if size**max(len(variables), 1) > BRUTE_FORCE_LIMIT:
-        raise SearchSpaceTooLarge(f"{size}**{len(variables)} exceeds {BRUTE_FORCE_LIMIT}")
+    columns = list(enumerate(s.modulus for s in A.summands))
 
-    moduli = [s.modulus for s in A.summands]
-    var_index = {v: i for i, v in enumerate(variables)}
-    checkpoints: list[list[tuple[list[tuple[int, int]], tuple[int, ...]]]] = [
-        [] for _ in range(len(variables) + 1)
-    ]
-    for eq in system.equations:
-        support = [(var_index[v], k) for v, k in sorted(eq.coeffs.items())]
-        last = max((i for i, _ in support), default=-1)
-        checkpoints[last + 1].append((support, tuple(int(c) for c in eq.rhs.coords)))
-
-    # equations with empty support constrain nothing but their rhs
-    for _, rhs in checkpoints[0]:
-        if any(c != 0 for c in rhs):
-            return None
-
-    domain = list(itertools.product(*(range(m) for m in moduli))) if moduli else [()]
-    values: list[tuple[int, ...]] = [None] * len(variables)
-
-    def satisfied(support, rhs) -> bool:
-        for j in range(len(moduli)):
+    def holds(eq, assignment) -> bool:
+        support, rhs = eq
+        for j, m in columns:
             total = 0
-            for vi, k in support:
-                total += k * values[vi][j]
-            if total % moduli[j] != rhs[j]:
+            for v, k in support:
+                total += k * assignment[v][j]
+            if total % m != rhs[j]:
                 return False
         return True
 
-    def search(depth: int):
-        if depth == len(variables):
-            return {v: A.element(values[i]) for i, v in enumerate(variables)}
-        for candidate in domain:
-            values[depth] = candidate
-            if all(satisfied(s, r) for s, r in checkpoints[depth + 1]):
-                found = search(depth + 1)
-                if found is not None:
-                    return found
-        values[depth] = None
-        return None
-
-    assignment = search(0)
-    if assignment is None:
-        return None
-    return _checked(system, assignment)
+    # each equation's support and right-hand side, read once
+    equations = [
+        (eq.coeffs, (list(eq.coeffs.items()), tuple(map(int, eq.rhs.coords))))
+        for eq in system.equations
+    ]
+    domain = itertools.product(*(range(m) for _, m in columns))
+    found = _first_solution(system.variables, A.size(), domain, equations, holds)
+    return None if found is None else _checked(system, {v: A.element(c) for v, c in found.items()})

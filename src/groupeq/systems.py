@@ -464,11 +464,6 @@ def _divisor_certificate(work, order) -> int:
     return g
 
 
-def elementary_divisors(M) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order: classify_matrix's."""
-    return classify_matrix(M).divisors
-
-
 def is_unimodular(M) -> bool:
     """True iff the rows are independent and every elementary divisor is 1, i.e.
     p-nonsingular for every prime: classify_matrix's verdict."""
@@ -582,15 +577,17 @@ def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
     coordinate as given: mod p**e on a cyclic summand, exactly on Z, and on
     Q and Prüfer summands as an integer numerator over the running lcm of
     the denominators (reduced mod 1 on Prüfer), cross-multiplied.  No
-    element and no Fraction is built.
+    element and no Fraction is built.  A word system is checked by
+    ``nilpotent._verify_words``: each value is read once through its handle,
+    so a value that the handle would refuse is a ValueError, and the words
+    are evaluated on the values read.
     """
     if isinstance(system, AbelianSystem):
         return _verify_columns(system, assignment)
-    from .nilpotent import WordSystem, evaluate_word  # deferred: avoids an import cycle
+    from .nilpotent import WordSystem, _verify_words  # deferred: avoids an import cycle
 
     if isinstance(system, WordSystem):
-        G = system.group
-        return all(evaluate_word(G, eq, assignment) == G.identity() for eq in system.equations)
+        return _verify_words(system, assignment)
     raise TypeError(f"unknown system type {type(system)!r}")
 
 

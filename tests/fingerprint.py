@@ -11,6 +11,7 @@ An answer is recorded with the type and value of every coordinate and with
 its ``Solution.to_json()`` text, a refusal with its exception type, message,
 prime, witness and divisors.  The corpus covers the four public abelian
 solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
+``brute_force_solve`` on random bounded systems (see ``brute_corpus``),
 ``verify_solution``'s verdicts on right and on perturbed answers over
 mixed groups with Z (see ``verify_corpus``), ``EchelonState`` checkpoints
 with an injected dependent row, the nilpotent solvers on Heisenberg groups
@@ -117,6 +118,28 @@ def abelian_corpus(c: Corpus) -> None:
         stream = random_unimodular_stream(mixed, f"fp-trunc:{i}")
         for depth in (1, 5, 12):
             c.run(f"truncation {i} {depth}", solve_auto, stream.truncation(depth))
+
+
+def brute_corpus(c: Corpus) -> None:
+    """``brute_force_solve``'s answer or refusal: on seeded
+    ``random_abelian_instance`` systems, solvable and unsolvable, whose
+    search spaces hold at most 10**4 assignments (10**5 for the last 40); on
+    the same systems with 24 more variables, which take the space past
+    ``BRUTE_FORCE_LIMIT``; and on a system over an infinite group."""
+    from groupeq.abelian import AbelianGroupDescriptor, Summand
+    from groupeq.randgen import random_abelian_instance
+    from groupeq.solve_abelian import brute_force_solve
+    from groupeq.systems import AbelianSystem
+
+    for i in range(440):
+        budget = 10**4 if i < 400 else 10**5
+        system, flavor = random_abelian_instance(f"fp-brute:{i}", node_budget=budget)
+        c.run(f"brute {i} {flavor}", brute_force_solve, system)
+        if i % 20 == 0:
+            wide = AbelianSystem(system.group, system.equations, [f"w{j}" for j in range(24)])
+            c.run(f"brute {i} wide", brute_force_solve, wide)
+    Q = AbelianGroupDescriptor([Summand.rational()])
+    c.run("brute infinite", brute_force_solve, AbelianSystem(Q, [], ["x"]))
 
 
 def verify_corpus(c: Corpus) -> None:
@@ -433,6 +456,7 @@ def main(argv: list[str]) -> int:
     corpus = Corpus()
     parts = (
         abelian_corpus,
+        brute_corpus,
         verify_corpus,
         echelon_corpus,
         nilpotent_corpus,

@@ -8,8 +8,7 @@ another route, so an agreement between the two is evidence for both:
   lifting through A ⊃ pA ⊃ p²A ⊃ ... for a bounded p-group, against the
   library's unit-pivot echelon (``solve_bounded``).
 * ``smith_normal_form`` — U*M*V = D with both transforms, against the
-  divisors that ``elementary_divisors`` and ``classify_matrix`` compute
-  without transforms.
+  divisors that ``classify_matrix`` computes without transforms.
 * ``is_p_nonsingular`` — elimination mod p on [M | I] with a list per row,
   against the library's elimination on rows packed into one int each.
 * ``rank_over_q`` / ``divisor_certificate`` — the Bareiss elimination of
@@ -19,13 +18,19 @@ another route, so an agreement between the two is evidence for both:
   in the fraction-free LU factors.
 * ``center_of`` — the center of a table group by brute-force centralizer
   intersection, against the center each handle declares.
+* ``project`` / ``section`` — a Heisenberg group's quotient map to its
+  abelian quotient and its coset representatives (a, b, 0), against the
+  handle's ``center_coords`` and ``lift``, which read and write each level
+  on the triple itself.
 
 Beside them, ``PrimePower`` and ``factor_small`` factor an integer by trial
 division, which the library never needs; tests use them to name the primes
 of a determinant.  ``val_p`` (the p-adic valuation), ``height_p`` (the
 height of an element of a p-group) and ``classify_stream`` (the
 classification of a stream truncation, with its depth recorded) have no
-caller in the library either.
+caller in the library either; ``height_p`` alone raises ``NotAPGroup``.
+``word_system_to_json`` writes a word system as the JSON that the library's
+``word_system_from_json`` reads, so the codec can be checked by a round trip.
 
 None of them is part of the ``groupeq`` package, and nothing there calls them.
 """
@@ -46,17 +51,18 @@ from groupeq.abelian import (
 )
 from groupeq.errors import (
     DescriptorMismatch,
-    NotAPGroup,
+    GroupEqError,
     OutOfRange,
     UnsupportedGroup,
     VerificationFailed,
 )
 from groupeq.intmath import INFINITE, check_prime
-from groupeq.nilpotent import TableGroup
+from groupeq.nilpotent import HeisenbergGroup, TableGroup, WordSystem
 from groupeq.solve_abelian import Solution, _checked, solve_mod_p
 from groupeq.systems import (
     AbelianEquation,
     AbelianSystem,
+    Const,
     EquationStream,
     SingularityReport,
     _dense,
@@ -352,6 +358,25 @@ def smith_normal_form(M):
     return U, A, V
 
 
+def project(group, g):
+    """g's image in ``group.quotient``: (a, b) in the abelian quotient of a
+    Heisenberg group; a handle that defines ``project`` maps with its own."""
+    if isinstance(group, HeisenbergGroup):
+        return group.quotient.descriptor.element([g[0], g[1]])
+    return group.project(g)
+
+
+def section(group, q):
+    """The coset representative of q, an element of ``group.quotient``: (a, b)
+    lifts to (a, b, 0) in a Heisenberg group, whose quotient's coordinates
+    are canonical scalars already; a handle that defines ``section`` lifts
+    with its own."""
+    if isinstance(group, HeisenbergGroup):
+        a, b = q.coords
+        return (a, b, group.identity()[2])
+    return group.section(q)
+
+
 def center_of(group):
     """Center structure of a handle, or the list of central element indices
     of a table group (computed by brute-force centralizer intersection)."""
@@ -422,6 +447,10 @@ def val_p(n: int, p: int):
     return k
 
 
+class NotAPGroup(GroupEqError):
+    """``height_p`` was given an element of a group that is not a p-group."""
+
+
 def height_p(a: GroupElement, p: int):
     """Height of a in an abelian p-group: the maximal k such that p**k * x = a
     is solvable; INFINITE when every power works (0, or Prüfer coordinates)."""
@@ -441,3 +470,18 @@ def classify_stream(stream: EquationStream, depth: int, primes=()) -> Singularit
     report = classify_matrix(stream.truncation(depth).matrix(), primes)
     report.checked_depth = depth
     return report
+
+
+def word_system_to_json(system: WordSystem) -> dict:
+    """The JSON object of a word system, as ``word_system_from_json`` reads it."""
+    G = system.group
+    eqs = []
+    for eq in system.equations:
+        word = []
+        for lit in eq.word:
+            if isinstance(lit, Const):
+                word.append({"const": G.element_to_json(lit.value)})
+            else:
+                word.append({"var": lit.var, "exp": lit.exp})
+        eqs.append({"word": word})
+    return {"vars": list(system.variables), "equations": eqs}

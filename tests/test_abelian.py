@@ -13,10 +13,10 @@ from groupeq.abelian import (
     order,
     primary_component,
 )
-from groupeq.errors import DescriptorMismatch, NotAPGroup, NotDivisible, NotPeriodic
+from groupeq.errors import DescriptorMismatch, NotDivisible, NotPeriodic
 from groupeq.intmath import INFINITE
 from groupeq.systems import AbelianEquation, AbelianSystem
-from reference import height_p, mod_p_quotient
+from reference import NotAPGroup, height_p, mod_p_quotient
 
 
 def Z(p, e):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-FINGERPRINT = "19736 15ea6f8f6e07a0e3be22e045d11c83a7911d95055a8de2f4fa6aa38b426b3154"
+FINGERPRINT = "20199 e6f6b08e1cfba6c4b09c8cba83395dd52d4b87e9b35172b4371b3ada6c9ed34e"
 
 
 def test_corpus_fingerprint_is_pinned():

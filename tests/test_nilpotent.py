@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import groupeq
-from groupeq.abelian import AbelianGroupDescriptor, Summand
+from groupeq.abelian import AbelianGroupDescriptor, GroupElement, Summand
 from groupeq.errors import (
     CentralityAssertionFailed,
+    DescriptorMismatch,
     MissingVariable,
     NotPeriodic,
     NotUnimodular,
@@ -35,7 +36,6 @@ from groupeq.nilpotent import (
     solve_nilpotent_bounded,
     solve_nilpotent_divisible,
     word_system_from_json,
-    word_system_to_json,
 )
 from groupeq.randgen import (
     random_nonsingular_word_system,
@@ -43,7 +43,7 @@ from groupeq.randgen import (
     rng_for,
 )
 from groupeq.systems import Const, GroupEquation, VarPow, is_nonsingular, verify_solution
-from reference import center_of
+from reference import center_of, project, section, word_system_to_json
 
 H2 = heisenberg_mod(2)
 H3 = heisenberg_mod(3)
@@ -189,6 +189,52 @@ def test_heisenberg_q_words_convert_ints_and_refuse_floats():
     assert all(type(c) is Fraction for c in got)
 
 
+Z8 = AbelianGroupDescriptor([Summand.cyclic(2, 3)])
+T2 = TableGroup.from_handle(H2)
+
+
+@pytest.mark.parametrize(
+    "G, good, bad, shown",
+    [
+        (T2, 1, -7, "-7"),  # a negative index must not wrap round to element 1
+        (T2, 1, True, "True"),
+        (T2, 1, 99, "99"),
+        (T2, 1, 1.0, "1.0"),
+        (H3, (1, 0, 0), (True, 0, 0), "True"),
+        (H3, (1, 0, 0), (1.0, 0, 0), "1.0"),  # named as given, not as summed
+        (H3, (1, 0, 0), (1, 0), "(1, 0)"),
+        (HQ, (1, 0, 0), (True, 0, 0), "True"),
+        (AbelianHandle(Z8), Z8.element([1]), GroupElement(Z8, (True,)), "True"),
+        (AbelianHandle(Z8), Z8.element([1]), (1,), "(1,)"),
+    ],
+    ids=["table-negative", "table-bool", "table-range", "table-float", "mod3-bool",
+         "mod3-float", "mod3-pair", "q-bool", "abelian-bool", "abelian-tuple"],
+)
+def test_verify_reads_word_values_through_the_handle(G, good, bad, shown):
+    # x * c = 1 with c the inverse of good: a value is read as its handle reads
+    # its own elements, so one the handle would refuse is a ValueError naming
+    # it, never an element it happens to index or sum to
+    system = WordSystem(G, [GroupEquation([VarPow("x", 1), Const(G.invert(good))])])
+    assert verify_solution(system, {"x": good})
+    with pytest.raises(ValueError) as refused:
+        verify_solution(system, {"x": bad})
+    assert shown in str(refused.value)
+
+
+def test_verify_words_checks_missing_and_descriptor_before_reading():
+    word = GroupEquation([VarPow("x", 1), VarPow("y", 1)])
+    with pytest.raises(MissingVariable):
+        verify_solution(WordSystem(T2, [word]), {"x": -7})
+    # 1/2 read as a Z/8 coordinate would be a ValueError
+    A = AbelianHandle(Z8)
+    other = AbelianGroupDescriptor([Summand.rational()]).element([Fraction(1, 2)])
+    with pytest.raises(DescriptorMismatch):
+        verify_solution(WordSystem(A, [word]), {"x": other, "y": Z8.element([1])})
+    # a non-canonical value that the handle reads is the element it names
+    inverse = GroupEquation([VarPow("x", 1), Const((2, 0, 0))])
+    assert verify_solution(WordSystem(H3, [inverse]), {"x": (4, 0, 0)})
+
+
 def test_evaluate_word_matches_table_fold():
     rng = random.Random("fold")
     table = TableGroup.from_handle(H3)
@@ -250,14 +296,14 @@ def test_center_embed_commutes_with_everything():
 
 
 def test_quotient_structure():
-    q = H3.project((1, 2, 1))
+    q = project(H3, (1, 2, 1))
     assert q.coords == (1, 2)
-    assert H3.project(H3.section(q)) == q
+    assert project(H3, section(H3, q)) == q
     # projection is a homomorphism
     rng = random.Random("proj")
     for _ in range(20):
         g, h = H3.random_element(rng), H3.random_element(rng)
-        assert H3.project(H3.multiply(g, h)) == H3.project(g) + H3.project(h)
+        assert project(H3, H3.multiply(g, h)) == project(H3, g) + project(H3, h)
 
 
 # -- bounded solver ------------------------------------------------------------------------
@@ -662,13 +708,13 @@ def test_center_coords_is_the_projected_centre(G):
         for depth, H in enumerate(levels):
             g = H.center_embed(H.center_group.random_element(rng))
             for K in reversed(levels[:depth]):
-                g = K.section(g)
+                g = section(K, g)
             elements.append(g)
         for g in elements:
             for depth, H in enumerate(levels):
                 b = g
                 for K in levels[:depth]:
-                    b = K.project(b)
+                    b = project(K, b)
                 beta = H.center_recognize(b)
                 assert G.center_coords(g, depth) == (None if beta is None else beta.coords)
 
@@ -698,7 +744,7 @@ def test_lift_is_section_times_centre(G):
 
     def sections(g, depth):  # g at level depth, carried up to G
         for K in reversed(levels[:depth]):
-            g = K.section(g)
+            g = section(K, g)
         return g
 
     rng = random.Random("lift")
@@ -708,7 +754,7 @@ def test_lift_is_section_times_centre(G):
             if H.quotient is None:
                 g, want = G.identity(), H.center_embed(z)
             else:
-                q = H.section(H.quotient.random_element(rng))
+                q = section(H, H.quotient.random_element(rng))
                 g, want = sections(q, depth), H.multiply(q, H.center_embed(z))
             assert G.lift(g, z.coords, depth) == sections(want, depth)
             central = G.lift(G.identity(), z.coords, depth)

@@ -23,7 +23,6 @@ from groupeq.systems import (
     _exponent_matrix,
     _rank_over_q,
     classify_matrix,
-    elementary_divisors,
     exponent_row,
     is_nonsingular,
     is_p_nonsingular,
@@ -149,7 +148,6 @@ def test_ragged_rows_are_refused(rows):
     for classifier in (
         is_nonsingular,
         functools.partial(is_p_nonsingular, p=2),
-        elementary_divisors,
         is_unimodular,
         classify_matrix,
     ):
@@ -165,7 +163,6 @@ def test_non_integer_entries_are_refused_not_truncated():
         for classifier in (
             is_nonsingular,
             functools.partial(is_p_nonsingular, p=2),
-            elementary_divisors,
             is_unimodular,
             classify_matrix,
         ):
@@ -323,7 +320,7 @@ DIVISOR_EXAMPLES = [
 
 def test_is_unimodular_examples():
     for rows, divisors in DIVISOR_EXAMPLES:
-        assert elementary_divisors(rows) == snf_divisors(rows) == divisors
+        assert classify_matrix(rows).divisors == snf_divisors(rows) == divisors
         unimodular = len(divisors) == len(rows) and set(divisors) <= {1}
         assert is_unimodular(rows) == unimodular_oracle(rows) == unimodular
 
@@ -341,11 +338,11 @@ def test_unimodular_vs_minor_gcd_oracle():
     for _ in range(250):
         rows = random_matrix(rng, kmax=5, nmax=7)
         assert is_unimodular(rows) == unimodular_oracle(rows)
-        assert elementary_divisors(rows) == snf_divisors(rows)
+        assert classify_matrix(rows).divisors == snf_divisors(rows)
     corank2 = 0
     for _ in range(150):
         rows = low_rank_matrix(rng)
-        divisors = elementary_divisors(rows)
+        divisors = classify_matrix(rows).divisors
         assert divisors == snf_divisors(rows)
         assert is_unimodular(rows) == unimodular_oracle(rows)
         corank2 += min(len(rows), len(rows[0])) - len(divisors) >= 2
@@ -375,14 +372,14 @@ def test_divisor_certificate_decides_without_the_smith_form(monkeypatch):
 
     monkeypatch.setattr(systems, "_divisors_mod", counted)
     for diagonal, M in products[: len(cyclic)]:
-        assert elementary_divisors(M) == snf_divisors(M) == diagonal
+        assert classify_matrix(M).divisors == snf_divisors(M) == diagonal
         assert classify_matrix(M, (2, 3, 5)).divisors == diagonal
     assert calls == []
     # the Smith form runs once a call, modulo a divisor of |det M| that
     # s_1 * ... * s_(k-1) divides
     for diagonal, M in products[len(cyclic) :]:
         calls.clear()
-        assert elementary_divisors(M) == snf_divisors(M) == diagonal
+        assert classify_matrix(M).divisors == snf_divisors(M) == diagonal
         assert len(calls) == 1
         assert math.prod(diagonal) % calls[0] == 0
         assert calls[0] % math.prod(diagonal[:-1]) == 0
@@ -556,7 +553,7 @@ def test_unimodular_iff_p_nonsingular_at_divisor_primes():
     rng = random.Random("unimod-iff")
     for _ in range(120):
         rows = random_matrix(rng)
-        divisors = elementary_divisors(rows)
+        divisors = classify_matrix(rows).divisors
         full_rank = len(divisors) == len(rows)
         primes = sorted(
             {p for d in divisors for p in (2, 3, 5, 7, 11, 13, 17, 19) if d % p == 0}
@@ -577,7 +574,7 @@ def test_nonsingular_implies_some_prime_nonsingular():
             continue
         checked += 1
         product = 1
-        for d in elementary_divisors(rows):
+        for d in classify_matrix(rows).divisors:
             product *= d
         candidates = [pp.p for pp in factor_small(product)] + [23]
         assert any(is_p_nonsingular(rows, p)[0] for p in candidates)
