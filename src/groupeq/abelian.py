@@ -10,9 +10,11 @@ group in ``nilpotent`` to each of its scalars.  A coordinate already in
 canonical form passes through unchanged: a reduced residue reduces to itself,
 a ``Fraction`` on a rational line is kept, not copied, and so is a Prüfer
 ``Fraction`` in [0, 1) once its p-power denominator is checked.  Sums of
-elements are formed in one place, ``_sum``, one coordinate column at a time:
+elements are formed by ``_sum``, one coordinate column at a time:
 ``AbelianGroupDescriptor.combine`` applies it to each summand and
-canonicalises the whole linear combination once.  Exact division is done
+canonicalises the whole linear combination once.  The check of an abelian
+system sums coordinates without building elements, on integer columns, in
+``systems.AbelianSystem.holds``.  Exact division is done
 one coordinate at a time too, by ``_root``, on an integer numerator and
 denominator: ``divide_exact`` applies it to each summand, and the abelian
 solvers' column core to columns it keeps as integer numerators over one

@@ -32,6 +32,11 @@ abelian canonical forms and codec are the only ones.  Every handle reads and
 writes its own elements (``element_from_json``, ``element_to_json``), a table
 group's as indices in range(order), so one word-system codec serves them all,
 and a ``Solution`` over the handle writes its values with the same method.
+``verify_solution`` checks a word system through ``WordSystem.read``, which
+reads each assigned value as its handle reads its own elements, and
+``WordSystem.holds``, which evaluates a word on the values read and compares
+it with the identity; ``brute_force_group_solve`` checks its candidates with
+the same ``holds``.
 
 The solver recursion: solve the induced system over G/Z(G), lift the
 solution with ``lift``, substitute x -> c*x, check that every
@@ -95,6 +100,30 @@ from .systems import (
 
 class WordSystem(EquationSystem):
     """A finite system of word equations w_i = 1 over one group handle."""
+
+    def read(self, g):
+        """An assigned value as the handle's canonical element, read as the
+        handle reads its own: a Heisenberg triple by ``element``, an abelian
+        handle's value by its descriptor's ``element`` once the descriptor is
+        checked, a table index as an int in range(order).  Anything else, a
+        bool included, is a ValueError; a handle of another kind keeps g as
+        it is."""
+        group = self.group
+        if isinstance(group, HeisenbergGroup):
+            if type(g) is tuple and len(g) == 3:
+                return group.element(*g)
+        elif isinstance(group, AbelianHandle):
+            if isinstance(g, GroupElement):
+                if g.descriptor != group.descriptor:
+                    raise DescriptorMismatch("elements live in different groups")
+                return group.descriptor.element(g.coords)
+        elif not isinstance(group, TableGroup) or type(g) is int and 0 <= g < group.order:
+            return g
+        raise ValueError(f"{g!r} is not an element of the group")
+
+    def holds(self, eq: GroupEquation, values) -> bool:
+        """Whether the word evaluates to the identity on the values."""
+        return evaluate_word(self.group, eq, values) == self.group.identity()
 
 
 # -- Heisenberg groups and abelian handles ---------------------------------------
@@ -355,46 +384,6 @@ def evaluate_word(group, equation: GroupEquation, assignment) -> object:
     return group.evaluate(terms)
 
 
-def _read(group, g):
-    """An assigned value as the handle's canonical element, read as the handle
-    reads its own: a Heisenberg triple by ``element``, an abelian handle's
-    value by its descriptor's ``element`` once the descriptor is checked, a
-    table index as an int in range(order).  Anything else, a bool included,
-    is a ValueError; a handle of another kind keeps g as it is."""
-    if isinstance(group, HeisenbergGroup):
-        if type(g) is tuple and len(g) == 3:
-            return group.element(*g)
-    elif isinstance(group, AbelianHandle):
-        if isinstance(g, GroupElement):
-            if g.descriptor != group.descriptor:
-                raise DescriptorMismatch("elements live in different groups")
-            return group.descriptor.element(g.coords)
-    elif not isinstance(group, TableGroup) or type(g) is int and 0 <= g < group.order:
-        return g
-    raise ValueError(f"{g!r} is not an element of the group")
-
-
-def _verify_words(system: WordSystem, assignment) -> bool:
-    """``verify_solution`` on a word system, equation by equation, in order:
-    MissingVariable for a variable of the word that the assignment lacks,
-    then each value that no earlier word used read once by ``_read``, and
-    the word evaluated on the values read."""
-    G = system.group
-    values: dict = {}
-    for eq in system.equations:
-        fresh = dict.fromkeys(
-            lit.var for lit in eq.word if isinstance(lit, VarPow) and lit.var not in values
-        )
-        for v in fresh:
-            if v not in assignment:
-                raise MissingVariable(f"assignment lacks variable {v!r}")
-        for v in fresh:
-            values[v] = _read(G, assignment[v])
-        if evaluate_word(G, eq, values) != G.identity():
-            return False
-    return True
-
-
 def commutator(group, g, h):
     """[g, h] = g^-1 h^-1 g h."""
     return group.multiply(
@@ -634,13 +623,8 @@ def brute_force_group_solve(system: WordSystem) -> Solution | None:
     if not isinstance(G, TableGroup):
         raise UnsupportedGroup("brute force runs over table groups")
 
-    identity = G.identity()
-
-    def holds(eq, assignment) -> bool:
-        return evaluate_word(G, eq, assignment) == identity
-
     equations = [(eq.variables(), eq) for eq in system.equations]
-    found = _first_solution(system.variables, G.order, range(G.order), equations, holds)
+    found = _first_solution(system.variables, G.order, range(G.order), equations, system.holds)
     return None if found is None else _checked(system, found)
 
 

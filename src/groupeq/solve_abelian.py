@@ -331,7 +331,7 @@ class EchelonState:
         for comp, row in zip(self.components, staged):
             comp.rows.append(row)
         self.equations.append(eq)
-        self.variables |= eq.variables()
+        self.variables.update(eq.variables())
         return self
 
     def solution(self) -> Solution:

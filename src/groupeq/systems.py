@@ -21,13 +21,14 @@ transform.  The elimination mod p works on [M | I], so the first row that
 reduces to zero carries the witness in its last k entries, and the column
 Hermite form works on M stacked over I, so the lower block ends as V.
 
-``verify_solution`` checks an abelian system on integer coordinate columns,
-the result check at the solvers' public boundary: each value's coordinates
-are read once through ``Summand.canon``, and each equation's sum is formed
-per summand as an int (mod p**e on a cyclic summand) or as an integer
-numerator over the lcm of the denominators (Q and Prüfer), then compared
-with the right-hand side's coordinate by cross-multiplication.  It builds
-no element and no Fraction.
+``verify_solution`` is the result check at the solvers' public boundary,
+one loop for every system kind: equation by equation, MissingVariable for a
+variable the assignment lacks, each value that no earlier equation used
+read once by the system's ``read``, and the equation checked on the values
+read by its ``holds``.  An ``AbelianSystem`` reads integer coordinate
+columns through ``Summand.canon`` and sums them per summand, building no
+element and no Fraction; a ``nilpotent.WordSystem`` reads its handle's
+elements and evaluates the word.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ class GroupEquation:
     def __init__(self, word):
         object.__setattr__(self, "word", tuple(word))
 
-    def variables(self) -> set[str]:
-        return {lit.var for lit in self.word if isinstance(lit, VarPow)}
+    def variables(self):
+        """The word's variables, a set-like view in order of first appearance."""
+        return dict.fromkeys(lit.var for lit in self.word if isinstance(lit, VarPow)).keys()
 
 
 class AbelianEquation:
@@ -106,8 +108,9 @@ class AbelianEquation:
         self.coeffs = {v: k for v, k in coeffs.items() if k != 0}
         self.rhs = rhs
 
-    def variables(self) -> set[str]:
-        return set(self.coeffs)
+    def variables(self):
+        """The variables with a nonzero coefficient, a set-like view in order."""
+        return self.coeffs.keys()
 
     def __repr__(self) -> str:
         lhs = " + ".join(f"{k}*{v}" for v, k in sorted(self.coeffs.items())) or "0"
@@ -136,7 +139,7 @@ class EquationSystem:
         self.equations = list(equations)
         seen = set(variables or ())
         for eq in self.equations:
-            seen |= eq.variables()
+            seen.update(eq.variables())
         self.variables = tuple(sorted(seen))
 
     def __len__(self) -> int:
@@ -148,13 +151,69 @@ class EquationSystem:
 
 
 class AbelianSystem(EquationSystem):
-    """A finite system of abelian equations over one group descriptor."""
+    """A finite system of abelian equations over one group descriptor.
+
+    ``verify_solution`` checks it on integer coordinate columns: ``read``
+    gives a value's canonical coordinates, an int or, on a divisible summand,
+    a (numerator, denominator) pair, and ``holds`` forms an equation's sum
+    per summand as an int (mod p**e on a cyclic summand) or as an integer
+    numerator over the lcm of the denominators (Q and Prüfer), compared with
+    the right-hand side's coordinate by cross-multiplication.  Neither builds
+    an element or a Fraction.
+    """
 
     def __init__(self, group: AbelianGroupDescriptor, equations, variables=None):
         super().__init__(group, equations, variables)
         for eq in self.equations:
             if eq.rhs.descriptor != group:
                 raise DescriptorMismatch("equation rhs lives in a different group")
+        self._plan = [(t, s.kind, s.modulus) for t, s in enumerate(group.summands)]
+
+    def read(self, g) -> list:
+        """g's coordinates through ``Summand.canon``: a ValueError unless g is
+        a GroupElement, DescriptorMismatch for another group or a wrong
+        number of coordinates, then a ValueError for a coordinate that
+        ``element`` would refuse."""
+        if not isinstance(g, GroupElement):
+            raise ValueError(f"{g!r} is not an element of the group")
+        group, coords = self.group, g.coords
+        if g.descriptor is not group and g.descriptor != group:
+            raise DescriptorMismatch("elements live in different groups")
+        if len(coords) != len(group):
+            raise DescriptorMismatch(f"expected {len(group)} coordinates, got {len(coords)}")
+        return [
+            s.canon(c).as_integer_ratio() if s.is_divisible else s.canon(c)
+            for s, c in zip(group.summands, coords)
+        ]
+
+    def holds(self, eq: AbelianEquation, columns) -> bool:
+        """Whether eq holds for the values ``read`` gave, per summand: the sum
+        sum(k*c) against the right-hand side's coordinate as given."""
+        terms = [(k, columns[v]) for v, k in eq.coeffs.items()]
+        rhs = eq.rhs.coords
+        if len(rhs) != len(self._plan):
+            return False
+        for t, kind, m in self._plan:
+            b = rhs[t]
+            if kind == PRUFER or kind == RATIONAL:
+                num, den = 0, 1
+                for k, c in terms:
+                    n, d = c[t]
+                    if den % d:
+                        lcm = math.lcm(den, d)
+                        num *= lcm // den
+                        den = lcm
+                    num += k * n * (den // d)
+                if kind == PRUFER:
+                    num %= den
+                bn, bd = b.as_integer_ratio()
+                if num * bd != bn * den:
+                    return False
+            else:
+                total = sum([k * c[t] for k, c in terms])
+                if (total if m is None else total % m) != b:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -565,79 +624,32 @@ def _column_hermite(rows: list[list[int]]):
 # -- verification ----------------------------------------------------------------
 
 
-def verify_solution(system, assignment: dict[str, GroupElement]) -> bool:
+def verify_solution(system, assignment: dict) -> bool:
     """True iff every equation of the (truncated) system is satisfied exactly.
 
-    An abelian system is checked equation by equation, in order, on integer
-    coordinate columns: MissingVariable for a variable the assignment lacks,
-    then DescriptorMismatch for a value from another group.  Each value's
-    coordinates are read once, through ``Summand.canon``, so a coordinate
-    that ``element`` would refuse is a ValueError.  Per summand, the
-    equation's sum sum(k*c) is compared with the right-hand side's
-    coordinate as given: mod p**e on a cyclic summand, exactly on Z, and on
-    Q and Prüfer summands as an integer numerator over the running lcm of
-    the denominators (reduced mod 1 on Prüfer), cross-multiplied.  No
-    element and no Fraction is built.  A word system is checked by
-    ``nilpotent._verify_words``: each value is read once through its handle,
-    so a value that the handle would refuse is a ValueError, and the words
-    are evaluated on the values read.
+    The one check of every system kind, equation by equation, in order:
+    MissingVariable for a variable of the equation that the assignment
+    lacks, then each value that no earlier equation used read once by
+    ``system.read``, which refuses a value that the system's group would
+    not take, and the equation checked on the values read by
+    ``system.holds``.  An ``AbelianSystem`` reads integer coordinate columns
+    and a ``nilpotent.WordSystem`` its handle's elements; any other object
+    is a TypeError.
     """
-    if isinstance(system, AbelianSystem):
-        return _verify_columns(system, assignment)
-    from .nilpotent import WordSystem, _verify_words  # deferred: avoids an import cycle
-
-    if isinstance(system, WordSystem):
-        return _verify_words(system, assignment)
-    raise TypeError(f"unknown system type {type(system)!r}")
-
-
-def _verify_columns(system: AbelianSystem, assignment) -> bool:
-    """``verify_solution`` on an abelian system, one coordinate column at a time."""
-    group = system.group
-    summands = group.summands
-    # a value's canonical coordinates: an int, or a (numerator, denominator)
-    # pair on a divisible summand
-    columns: dict[str, list] = {}
-    plan = [(t, s.kind, s.modulus) for t, s in enumerate(summands)]
+    read, holds = getattr(system, "read", None), getattr(system, "holds", None)
+    if read is None or holds is None:
+        raise TypeError(f"unknown system type {type(system)!r}")
+    values: dict = {}
     for eq in system.equations:
-        coeffs = eq.coeffs
-        for v in coeffs:
+        names = eq.variables()
+        for v in names:
             if v not in assignment:
                 raise MissingVariable(f"assignment lacks variable {v!r}")
-        fresh = [v for v in coeffs if v not in columns]
-        for v in fresh:
-            d = assignment[v].descriptor
-            if d is not group and d != group:
-                raise DescriptorMismatch("elements live in different groups")
-        for v in fresh:
-            columns[v] = [
-                s.canon(c).as_integer_ratio() if s.is_divisible else s.canon(c)
-                for s, c in zip(summands, assignment[v].coords)
-            ]
-        terms = [(k, columns[v]) for v, k in coeffs.items()]
-        rhs = eq.rhs.coords
-        if len(rhs) != len(summands):
+        for v in names:
+            if v not in values:
+                values[v] = read(assignment[v])
+        if not holds(eq, values):
             return False
-        for t, kind, m in plan:
-            b = rhs[t]
-            if kind == PRUFER or kind == RATIONAL:
-                num, den = 0, 1
-                for k, c in terms:
-                    n, d = c[t]
-                    if den % d:
-                        lcm = math.lcm(den, d)
-                        num *= lcm // den
-                        den = lcm
-                    num += k * n * (den // d)
-                if kind == PRUFER:
-                    num %= den
-                bn, bd = b.as_integer_ratio()
-                if num * bd != bn * den:
-                    return False
-            else:
-                total = sum([k * c[t] for k, c in terms])
-                if (total if m is None else total % m) != b:
-                    return False
     return True
 
 

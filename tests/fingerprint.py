@@ -13,7 +13,8 @@ prime, witness and divisors.  The corpus covers the four public abelian
 solvers on random bounded and on mixed cyclic/Prüfer/Q systems,
 ``brute_force_solve`` on random bounded systems (see ``brute_corpus``),
 ``verify_solution``'s verdicts on right and on perturbed answers over
-mixed groups with Z (see ``verify_corpus``), ``EchelonState`` checkpoints
+mixed groups with Z (see ``verify_corpus``) and over the four kinds of
+word-system handle (see ``word_verify_corpus``), ``EchelonState`` checkpoints
 with an injected dependent row, the nilpotent solvers on Heisenberg groups
 and abelian handles, ``brute_force_group_solve``
 on the H(Z/2) systems carried to its multiplication table, hand-built
@@ -220,6 +221,92 @@ def verify_corpus(c: Corpus) -> None:
         other = AbelianGroupDescriptor((*summands, Summand.cyclic(7, 1)))
         stranger = other.element((*answer[v].coords, 0))
         verdict(f"verify {i} other {v}", system, {**answer, v: stranger})
+
+
+def word_verify_corpus(c: Corpus) -> None:
+    """``verify_solution``'s verdict, or its exception type, on word systems
+    over H(Z/8), H(Q), the multiplication table of H(Z/2) and the abelian
+    handle of Z/8 + Z/3.
+
+    Each seeded system is solved (the table's by ``brute_force_group_solve``
+    on an H(Z/2) system carried to its indices), and the verdict is recorded
+    for the answer; for the answer with one value multiplied by a
+    non-identity element; for the answer without that variable; for the
+    answer with that value replaced by one the handle refuses; and, over the
+    abelian handle, with it replaced by an element of another group.
+    """
+    from fractions import Fraction
+
+    from groupeq.abelian import AbelianGroupDescriptor, GroupElement, Summand
+    from groupeq.errors import GroupEqError
+    from groupeq.nilpotent import (
+        AbelianHandle,
+        TableGroup,
+        WordSystem,
+        brute_force_group_solve,
+        heisenberg_mod,
+        heisenberg_q,
+        solve_nilpotent_bounded,
+        solve_nilpotent_divisible,
+    )
+    from groupeq.randgen import random_nonsingular_word_system, random_unimodular_word_system
+    from groupeq.systems import Const, GroupEquation, verify_solution
+
+    H2, HQ = heisenberg_mod(2, 1), heisenberg_q()
+    table = TableGroup.from_handle(H2)
+    A = AbelianGroupDescriptor([Summand.cyclic(2, 3), Summand.cyclic(3, 1)])
+    others = [
+        AbelianGroupDescriptor([Summand.rational()]).zero(),
+        AbelianGroupDescriptor([*A.summands, Summand.cyclic(7, 1)]).zero(),
+    ]
+    malformed = [GroupElement(A, (True, 0)), GroupElement(A, (1,)), GroupElement(A, (1, 1, 0))]
+    # (name, group, solver, a non-identity step, values the handle refuses)
+    cases = [
+        ("H(Z/8)", heisenberg_mod(2, 3), solve_nilpotent_bounded, (0, 0, 1),
+         [(True, 0, 0), (1.0, 0, 0), (1, 0), None]),
+        ("H(Q)", HQ, solve_nilpotent_divisible, (0, 0, Fraction(1)),
+         [(0.5, 0, 0), (True, 0, 0), [0, 0, 0]]),
+        ("table H(Z/2)", table, brute_force_group_solve, 1,
+         [-1, table.order, True, 1.0, (0, 0, 0)]),
+        ("Z/8+Z/3", AbelianHandle(A), solve_nilpotent_bounded, A.element([1, 0]),
+         [*malformed, (1, 0)]),
+    ]
+
+    def draw(G, key):
+        if G is HQ:
+            return random_nonsingular_word_system(G, key, max_eqs=3, max_vars=4)
+        if G is not table:
+            return random_unimodular_word_system(G, key, max_eqs=3, max_vars=4)
+        system = random_unimodular_word_system(H2, key, max_eqs=3, max_vars=3)
+        carried = [
+            [Const(table.index_of(x.value)) if isinstance(x, Const) else x for x in eq.word]
+            for eq in system.equations
+        ]
+        return WordSystem(table, [GroupEquation(w) for w in carried], system.variables)
+
+    def verdict(tag, system, assignment):
+        try:
+            c.record(tag, str(verify_solution(system, assignment)))
+        except (GroupEqError, ValueError) as exc:
+            c.record(tag, type(exc).__name__)
+
+    for name, G, solve, step, refused in cases:
+        for i in range(40):
+            rng = random.Random(f"fp-word-verify:{name}:{i}")
+            system = draw(G, f"fp-word-verify:{i}")
+            tag = f"word verify {name} {i}"
+            answer = c.run(tag, solve, system)
+            if answer is None:
+                continue
+            answer = answer.assignment
+            verdict(tag, system, answer)
+            v = rng.choice(system.variables)
+            verdict(f"{tag} moved {v}", system, {**answer, v: G.multiply(answer[v], step)})
+            verdict(f"{tag} missing {v}", system, {u: g for u, g in answer.items() if u != v})
+            bad = rng.choice(refused)
+            verdict(f"{tag} refused {v} {bad!r}", system, {**answer, v: bad})
+            if isinstance(G, AbelianHandle):
+                verdict(f"{tag} other {v}", system, {**answer, v: rng.choice(others)})
 
 
 def echelon_corpus(c: Corpus) -> None:
@@ -458,6 +545,7 @@ def main(argv: list[str]) -> int:
         abelian_corpus,
         brute_corpus,
         verify_corpus,
+        word_verify_corpus,
         echelon_corpus,
         nilpotent_corpus,
         word_corpus,

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-FINGERPRINT = "20199 e6f6b08e1cfba6c4b09c8cba83395dd52d4b87e9b35172b4371b3ada6c9ed34e"
+FINGERPRINT = "21039 4e329bd7f8738c33ae287a84cb0cf92c5e256c3286357a38e59ed7c667c1097e"
 
 
 def test_corpus_fingerprint_is_pinned():

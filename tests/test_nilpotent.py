@@ -235,6 +235,35 @@ def test_verify_words_checks_missing_and_descriptor_before_reading():
     assert verify_solution(WordSystem(H3, [inverse]), {"x": (4, 0, 0)})
 
 
+Z8_Z3 = AbelianGroupDescriptor([Summand.cyclic(2, 3), Summand.cyclic(3, 1)])
+
+
+@pytest.mark.parametrize(
+    "name, G, solve, step",
+    [
+        ("mod8", heisenberg_mod(2, 3), solve_nilpotent_bounded, (0, 0, 1)),
+        ("q", HQ, solve_nilpotent_divisible, HQ.element(0, 0, 1)),
+        ("table", T2, brute_force_group_solve, 1),
+        ("abelian", AbelianHandle(Z8_Z3), solve_nilpotent_bounded, Z8_Z3.element([1, 0])),
+    ],
+    ids=["mod8", "q", "table", "abelian"],
+)
+def test_verify_refuses_a_moved_word_value(name, G, solve, step):
+    # c1 x y c2 = 1 and y**-1 c3 = 1 have one solution, so y moved by a
+    # non-identity step fails the check
+    rng = random.Random(f"moved:{name}")
+    draw = (lambda: rng.randrange(G.order)) if G is T2 else (lambda: G.random_element(rng))
+    words = [
+        [Const(draw()), VarPow("x", 1), VarPow("y", 1), Const(draw())],
+        [VarPow("y", -1), Const(draw())],
+    ]
+    system = WordSystem(G, [GroupEquation(w) for w in words])
+    answer = solve(system).assignment
+    assert verify_solution(system, answer)
+    moved = {**answer, "y": G.multiply(answer["y"], step)}
+    assert not verify_solution(system, moved)
+
+
 def test_evaluate_word_matches_table_fold():
     rng = random.Random("fold")
     table = TableGroup.from_handle(H3)

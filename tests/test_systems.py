@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from groupeq import systems
-from groupeq.abelian import AbelianGroupDescriptor, Summand
-from groupeq.errors import ParseError, Singular
+from groupeq.abelian import AbelianGroupDescriptor, GroupElement, Summand
+from groupeq.errors import DescriptorMismatch, ParseError, Singular, VerificationFailed
 from groupeq.randgen import random_unimodular_matrix
 from groupeq.systems import (
     AbelianEquation,
@@ -856,6 +856,66 @@ def test_verify_builds_no_element_and_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert ok
     assert built == []
+
+
+Z8_Z3 = AbelianGroupDescriptor([Summand.cyclic(2, 3), Summand.cyclic(3, 1)])
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        pytest.param(GroupElement(Z8_Z3, (1, 1, 0)), DescriptorMismatch, id="extra-coordinate"),
+        pytest.param(GroupElement(Z8_Z3, (1,)), DescriptorMismatch, id="missing-coordinate"),
+        pytest.param((1,), ValueError, id="tuple"),
+        pytest.param(1, ValueError, id="int"),
+        pytest.param(None, ValueError, id="none"),
+    ],
+)
+def test_verify_refuses_a_malformed_abelian_value(value, error):
+    """x = (1, 1) over Z/8 + Z/3: a GroupElement with a wrong number of
+    coordinates is a DescriptorMismatch, as ``element`` says, and a value that
+    is no GroupElement a ValueError, as over an abelian handle."""
+    one = Z8_Z3.element([1, 1])
+    system = AbelianSystem(Z8_Z3, [AbelianEquation({"x": 1}, one)])
+    assert verify_solution(system, {"x": one})
+    with pytest.raises(error):
+        verify_solution(system, {"x": value})
+
+
+def test_verify_reads_one_value_at_a_time():
+    """x + y = 0 with a bool coordinate in x and y from another group: x is
+    read, and refused, before y's group is checked."""
+    system = AbelianSystem(Z8_Z3, [AbelianEquation({"x": 1, "y": 1}, Z8_Z3.zero())])
+    other = AbelianGroupDescriptor([Summand.rational()]).zero()
+    with pytest.raises(ValueError):
+        verify_solution(system, {"x": GroupElement(Z8_Z3, (True, 0)), "y": other})
+
+
+class _HoldsOnly(systems.EquationSystem):
+    def holds(self, eq, values):
+        return True
+
+
+@pytest.mark.parametrize(
+    "system",
+    [[], systems.EquationSystem(Z8_Z3, []), _HoldsOnly(Z8_Z3, [])],
+    ids=["list", "base", "holds-only"],
+)
+def test_verify_refuses_an_unknown_system(system):
+    with pytest.raises(TypeError):
+        verify_solution(system, {})
+
+
+def test_classify_refuses_an_elimination_mod_p_that_contradicts_the_divisors(monkeypatch):
+    monkeypatch.setattr(systems, "is_p_nonsingular", lambda rows, p: (True, None))
+    with pytest.raises(VerificationFailed, match="elimination mod 2 contradicts"):
+        classify_matrix([[2, 0], [0, 1]], (2,))
+
+
+def test_classify_refuses_unimodular_rows_that_are_singular_over_q(monkeypatch):
+    monkeypatch.setattr(systems, "_divisors_mod", lambda rows, rank, modulus: [1] * len(rows))
+    with pytest.raises(VerificationFailed, match="unimodular rows are singular"):
+        classify_matrix([[1, 2], [2, 4]])
 
 
 # -- streams ----------------------------------------------------------------------------------
